@@ -174,10 +174,9 @@ class SurveillanceMonitor:
 
         Shuts down the engine's persistent
         :class:`~repro.parallel.pool.MiningPool` (shared by batch
-        normalization and sharded re-mining). The pool is what makes
-        repeated batches *warm* — workers keep the accumulated shard
-        rows resident between mines — so close only when the stream is
-        done, not between batches.
+        normalization and sharded re-mining). Its worker processes are
+        spawned once and reused by every batch, so close only when the
+        stream is done, not between batches.
         """
         if self._engine is not None:
             self._engine.close()

@@ -300,10 +300,11 @@ class IncrementalEngine:
     def _ensure_pool(self, n_workers: int) -> MiningPool:
         """The engine's long-lived pool, shared by cleaning and mining.
 
-        A :class:`~repro.parallel.pool.MiningPool`, so workers keep
-        shard rows resident between batches: each delta re-mine of the
-        grown database ships per-leaf appends/updates instead of the
-        accumulated history.
+        A :class:`~repro.parallel.pool.MiningPool`, so batches reuse
+        the same worker processes instead of spawning a pool each time.
+        Each delta re-mine ships its shard rows already projected onto
+        the touched universe, so what crosses the process boundary
+        tracks the delta's neighbourhood.
         """
         if self._pool is None:
             self._pool = MiningPool(n_workers)
@@ -435,7 +436,6 @@ class IncrementalEngine:
                     plan=plan_shards(dataset, n_workers, config.shard_strategy),
                     pool=self._ensure_pool(n_workers),
                     touched_mask=effect.touched_mask,
-                    updated_tids=effect.updated_tids,
                 )
             else:
                 mined = fpclose(

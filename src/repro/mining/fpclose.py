@@ -55,9 +55,8 @@ def touched_universe(
     contained in some touched row, hence in this union, so projecting
     rows onto it preserves every support the delta contract needs.
     This is the shared pushdown hook of the sharded miner
-    (:mod:`repro.parallel.miner`): the parent ships the universe to the
-    workers, which project their *resident* rows onto it instead of
-    receiving re-projected rows.
+    (:mod:`repro.parallel.miner`): the parent projects every shard's
+    rows onto the universe before they reach a worker.
     """
     items: set[int] = set()
     remaining = touched_mask

@@ -21,10 +21,9 @@ monitoring hooks answer those without touching the numbers when off.
 
 The parallel miner's dataflow scheduler is the densest emitter: one
 ``parallel.node`` event per merge-tree node (kind, queue depth at
-submit, submit/done offsets, worker seconds — the realized schedule),
-plus ``parallel.pool.*`` counters (``reuse`` / ``cold_start`` /
-``delta_ships`` / ``residency_misses`` / ``worker_replacements``)
-accounting the persistent pool's shard residency across mines.
+submit, submit/done offsets, attempts, worker seconds — the realized
+schedule), plus the ``parallel.pool.worker_replacements`` counter of
+process pools rebuilt after a worker died.
 
 Usage::
 

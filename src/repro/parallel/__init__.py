@@ -6,24 +6,23 @@ all locally frequent itemsets per shard in worker processes
 exact global closed set (:mod:`~repro.parallel.merge`). Scheduling is
 dependency-driven dataflow (:mod:`~repro.parallel.miner`): each merge
 node is submitted the moment its inputs complete, and for full mines
-the root's closure/dedup pass runs inside the top tree node. Workers
-keep shard rows resident across mines in a persistent
-:class:`~repro.parallel.pool.MiningPool`, keyed by a database
-fingerprint, so repeated mines (watch batches, serving refreshes) ship
-thresholds and deltas instead of rows. The top-level entry point is
-:func:`~repro.parallel.miner.fpclose_sharded`, threaded through
+the root's closure/dedup pass runs inside the top tree node. Every
+task carries the rows it needs, and a persistent
+:class:`~repro.parallel.pool.MiningPool` keeps its worker processes
+across repeated mines (watch batches, serving refreshes). The
+top-level entry point is :func:`~repro.parallel.miner.fpclose_sharded`,
+threaded through
 ``Maras.run`` via ``MarasConfig(n_workers=...)`` — and through the
 incremental engine's delta re-mining via ``touched_mask``.
 """
 
 from repro.parallel.merge import merge_pair, merge_shard_itemsets
 from repro.parallel.miner import MAX_WORKERS, fpclose_sharded, resolve_workers
-from repro.parallel.pool import MiningPool, database_fingerprint, reset_residency
+from repro.parallel.pool import MiningPool
 from repro.parallel.sharding import (
     HASH_STRATEGY,
     QUARTER_STRATEGY,
     SHARD_STRATEGIES,
-    plan_digest,
     plan_shards,
     round_robin_shards,
     shard_of_case,
@@ -37,15 +36,12 @@ __all__ = [
     "MiningPool",
     "QUARTER_STRATEGY",
     "SHARD_STRATEGIES",
-    "database_fingerprint",
     "fpclose_sharded",
     "local_threshold",
     "merge_pair",
     "merge_shard_itemsets",
     "mine_shard",
-    "plan_digest",
     "plan_shards",
-    "reset_residency",
     "resolve_workers",
     "round_robin_shards",
     "shard_of_case",

@@ -15,8 +15,8 @@ shard delays only its own ancestors while the rest of the tree keeps
 mining. On pools that can run at least two tasks at once the tree runs
 all the way to a single top node for full mines, and that node also
 performs the root's closure/dedup pass (the exact
-:func:`~repro.parallel.merge.merge_shard_itemsets` code over the
-worker's cached full database), so the parent merely receives the
+:func:`~repro.parallel.merge.merge_shard_itemsets` code over the full
+database the task carries), so the parent merely receives the
 already-closed, canonically ordered list. Narrow pools still coalesce
 sibling shards into ``max(2, pool_size)`` directly-mined regions —
 decomposing further than the pool can run concurrently weakens the
@@ -26,15 +26,13 @@ parent-side root merge. Every shape, every completion order, and warm
 vs cold pools yield the same bytes; the adversarial executor stub in
 ``tests/parallel/test_dataflow.py`` drives worst-case orders.
 
-Rows reach workers through :class:`repro.parallel.pool.MiningPool`
-residency: cold mines ship rows once, repeated mines of the same
-database fingerprint ship only thresholds (plus the touched-item
-universe for deltas, which workers apply to their *resident* rows via
-a vertical index), and grown databases ship per-leaf append/update
-deltas. Passing ``touched_mask`` runs the *delta* contract — only
-closed itemsets whose tidset intersects the mask are returned, exactly
-like ``fpclose(touched_mask=...)``; rows are projected onto the union
-of the touched rows' items while thresholds still come from *full*
+Every task carries the rows it needs; workers of the persistent
+:class:`repro.parallel.pool.MiningPool` keep nothing between tasks.
+Passing ``touched_mask`` runs the *delta* contract — only closed
+itemsets whose tidset intersects the mask are returned, exactly like
+``fpclose(touched_mask=...)``; the parent projects each shard's rows
+onto the union of the touched rows' items (:func:`shard_rows`, shared
+with the in-process path) while thresholds still come from *full*
 shard sizes, so the pigeonhole guarantee is untouched. The delta path
 keeps the parent-side root merge: closures over projected rows would
 be wrong for the real database, so closure pushdown applies to full
@@ -46,8 +44,7 @@ from __future__ import annotations
 import os
 import queue
 import time
-from collections.abc import Collection, Sequence
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Sequence
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.errors import ConfigError, MiningError
@@ -55,8 +52,8 @@ from repro.mining.bitsets import SupportOracle
 from repro.mining.fpclose import touched_universe
 from repro.mining.transactions import FrequentItemset, TransactionDatabase
 from repro.obs.metrics import get_registry
-from repro.parallel.merge import merge_pair, merge_shard_itemsets
-from repro.parallel.pool import MISS, MiningPool, database_fingerprint, run_node
+from repro.parallel.merge import merge_shard_itemsets
+from repro.parallel.pool import MiningPool, run_node
 from repro.parallel.sharding import ShardPlan, round_robin_shards, validate_plan
 from repro.parallel.worker import local_threshold, mine_shard
 
@@ -70,6 +67,11 @@ MAX_WORKERS = 512
 #: declaring the pool stalled. Generous: a single node is one shard
 #: mine or one pair merge, orders of magnitude below this.
 _STALL_TIMEOUT = 600.0
+
+#: Submissions a node gets before the mine fails. A node is resubmitted
+#: only after its worker died; one that kills every worker it reaches
+#: would otherwise be recovered and resubmitted forever.
+MAX_NODE_ATTEMPTS = 3
 
 
 def resolve_workers(n_workers: int) -> int:
@@ -101,23 +103,18 @@ def fpclose_sharded(
     n_workers: int,
     plan: Sequence[Sequence[int]] | None = None,
     oracle: SupportOracle | None = None,
-    pool: MiningPool | ProcessPoolExecutor | None = None,
+    pool: MiningPool | None = None,
     touched_mask: int | None = None,
-    updated_tids: Collection[int] | None = None,
 ) -> list[FrequentItemset]:
     """Mine the global closed frequent itemsets via sharded workers.
 
     ``plan`` is a covering, disjoint partition of tids (see
     :func:`repro.parallel.sharding.plan_shards`); when omitted, a
     round-robin partition into ``n_workers`` shards is used. A
-    caller-owned ``pool`` (a :class:`~repro.parallel.pool.MiningPool`,
-    or a raw executor for back-compat) is used as-is and never shut
-    down here; only a ``MiningPool`` carries residency across calls,
-    so repeated mines of the same-fingerprint database skip shipping
-    rows. ``touched_mask`` switches to the delta contract described in
-    the module docstring, and ``updated_tids`` (rows whose *content*
-    changed since this pool's previous mine; appends are inferred)
-    lets a grown database ship per-leaf deltas instead of full rows.
+    caller-owned :class:`~repro.parallel.pool.MiningPool` is used
+    as-is and never shut down here, so repeated mines reuse its worker
+    processes. ``touched_mask`` switches to the delta contract
+    described in the module docstring.
     """
     registry = get_registry()
     n_transactions = len(database)
@@ -130,6 +127,10 @@ def fpclose_sharded(
     leaves = [(index, tuple(shard)) for index, shard in enumerate(shards) if shard]
     if not leaves:
         return []
+    universe = None
+    if touched_mask is not None:
+        universe = touched_universe(database, touched_mask)
+    leaf_rows = shard_rows(database, [tids for _index, tids in leaves], universe)
 
     if n_workers <= 1 or len(leaves) == 1:
         return _mine_serial(
@@ -139,12 +140,10 @@ def fpclose_sharded(
             oracle,
             touched_mask,
             leaves,
+            leaf_rows,
             registry,
         )
 
-    universe: tuple[int, ...] | None = None
-    if touched_mask is not None:
-        universe = tuple(sorted(touched_universe(database, touched_mask)))
     registry.counter("parallel.shards").inc(len(leaves))
 
     owned = pool is None
@@ -152,8 +151,6 @@ def fpclose_sharded(
         pool_size = max(1, min(n_workers, len(leaves), os.cpu_count() or 1))
         pool = MiningPool(pool_size, width=pool_size)
     else:
-        if not isinstance(pool, MiningPool):
-            pool = MiningPool.adopt(pool)
         pool_size = max(1, min(n_workers, len(leaves), pool.width))
     try:
         run = _ShardedMine(
@@ -162,38 +159,61 @@ def fpclose_sharded(
             max_len=max_len,
             oracle=oracle,
             touched_mask=touched_mask,
-            universe=universe,
             leaves=leaves,
+            leaf_rows=leaf_rows,
             pool=pool,
             pool_size=pool_size,
             registry=registry,
         )
-        run.build_graph(updated_tids)
+        run.build_graph()
         return run.execute()
     finally:
         if owned:
             pool.shutdown()
 
 
+def shard_rows(
+    database: TransactionDatabase,
+    shards: Sequence[Sequence[int]],
+    universe: frozenset[int] | None,
+) -> list[tuple[tuple[int, ...], ...]]:
+    """Each shard's rows as sorted item tuples, in tid order.
+
+    With a ``universe`` (a delta mine) every row is projected onto it
+    and rows left empty are dropped. The projection walks the universe
+    items' tidsets, so its cost tracks the touched neighbourhood rather
+    than the database. This is the one projection both the in-process
+    path and the worker tasks mine over.
+    """
+    if universe is None:
+        return [
+            tuple(tuple(sorted(database[tid])) for tid in tids)
+            for tids in shards
+        ]
+    projected: dict[int, list[int]] = {}
+    for item in sorted(universe):
+        for tid in database.tidset(item):
+            projected.setdefault(tid, []).append(item)
+    return [
+        tuple(tuple(projected[tid]) for tid in tids if tid in projected)
+        for tids in shards
+    ]
+
+
 def _mine_serial(
-    database, min_support, max_len, oracle, touched_mask, leaves, registry
+    database,
+    min_support,
+    max_len,
+    oracle,
+    touched_mask,
+    leaves,
+    leaf_rows,
+    registry,
 ):
     """The in-process path (``n_workers <= 1`` or a single shard)."""
     n_transactions = len(database)
-    universe: frozenset[int] | None = None
-    if touched_mask is not None:
-        universe = touched_universe(database, touched_mask)
-    transactions = list(database)
     mined = []
-    for index, shard in leaves:
-        if universe is None:
-            rows = tuple(tuple(sorted(transactions[tid])) for tid in shard)
-        else:
-            rows = tuple(
-                projected
-                for tid in shard
-                if (projected := tuple(sorted(transactions[tid] & universe)))
-            )
+    for (index, shard), rows in zip(leaves, leaf_rows):
         if not rows:
             continue
         threshold = local_threshold(min_support, len(shard), n_transactions)
@@ -305,8 +325,8 @@ class _ShardedMine:
         max_len,
         oracle,
         touched_mask,
-        universe,
         leaves,
+        leaf_rows,
         pool,
         pool_size,
         registry,
@@ -316,17 +336,13 @@ class _ShardedMine:
         self.max_len = max_len
         self.oracle = oracle
         self.touched_mask = touched_mask
-        self.universe = universe
         self.leaves = leaves
+        self.leaf_rows = leaf_rows
         self.pool = pool
         self.pool_size = pool_size
         self.registry = registry
         self.n_items = len(database.catalog)
         self.n_transactions = len(database)
-        self.fingerprint = database_fingerprint(
-            database, [tids for _index, tids in leaves]
-        )
-        self.plans: dict[int, tuple] = {}
         self.nodes: list[_Node] = []
         self.mine_nodes: list[_Node] = []
         self.roots: list[_Node] = []
@@ -335,19 +351,10 @@ class _ShardedMine:
         self.inflight = 0
         self.unfinished = 0
         self.started_at = 0.0
-        self._rows_cache: dict[int, tuple] = {}
-        self._delta_cache: dict[int, tuple] = {}
-        # Snapshot before build_graph's plan_shipments bumps anything:
-        # the registry receives this mine's counter deltas only.
-        self._counters_before = dict(pool.counters)
-        self._tids_by_key = {index: tids for index, tids in leaves}
 
     # -- graph construction -------------------------------------------
 
-    def build_graph(self, updated_tids) -> None:
-        self.plans = self.pool.plan_shipments(
-            self.fingerprint, self._tids_by_key, updated_tids
-        )
+    def build_graph(self) -> None:
         leaves = self.leaves
         if self.pool_size >= len(leaves) or len(leaves) < 4:
             groups = [[pos] for pos in range(len(leaves))]
@@ -389,7 +396,7 @@ class _ShardedMine:
         # pushdown); delta mines stop at two regions because the
         # parent-side root merge must close over the *unprojected*
         # database.
-        stop_at = 1 if self.universe is None else 2
+        stop_at = 1 if self.touched_mask is None else 2
         if self.pool_size >= 2:
             while len(current) > stop_at:
                 merged_level: list[_Node] = []
@@ -439,58 +446,18 @@ class _ShardedMine:
             self.final_node = self.roots[0]
         self.unfinished = len(self.nodes)
 
-    # -- shipment construction ----------------------------------------
+    # -- task construction --------------------------------------------
 
-    def _row(self, tid: int) -> tuple[int, ...]:
-        return tuple(sorted(self.database[tid]))
-
-    def _rows(self, key: int) -> tuple:
-        rows = self._rows_cache.get(key)
-        if rows is None:
-            rows = tuple(self._row(tid) for tid in self._tids_by_key[key])
-            self._rows_cache[key] = rows
-        return rows
-
-    def _shipment(self, key: int, force: bool) -> tuple:
-        if not force:
-            plan = self.plans.get(key, ("full",))
-            if plan[0] == "delta":
-                # Keep shipping the (small) delta even after this
-                # leaf's first node completed: another worker may hold
-                # the previous rows and can patch them forward, where a
-                # bare ("ref",) would force a full-row miss round-trip.
-                shipment = self._delta_cache.get(key)
-                if shipment is None:
-                    _kind, base_fp, n_prev, positions = plan
-                    tids = self._tids_by_key[key]
-                    appended = tuple(self._row(tid) for tid in tids[n_prev:])
-                    updates = {pos: self._row(tids[pos]) for pos in positions}
-                    shipment = ("delta", base_fp, appended, updates)
-                    self._delta_cache[key] = shipment
-                return shipment
-            state = self.pool.leaf_state(key)
-            if state is not None and state[0] == self.fingerprint:
-                return ("ref",)
-            if plan[0] == "ref":
-                return ("ref",)
-        return ("rows", self._rows(key))
-
-    def _build_task(self, node: _Node, force: set[int]) -> dict:
-        groups = []
-        for positions in node.groups:
-            entries = []
-            for pos in positions:
-                key = self.leaves[pos][0]
-                entries.append((key, self._shipment(key, key in force)))
-            groups.append(tuple(entries))
+    def _build_task(self, node: _Node) -> dict:
         task = {
             "kind": node.kind,
-            "fp": self.fingerprint,
             "label": node.label,
-            "groups": tuple(groups),
+            "rows": tuple(
+                tuple(row for pos in positions for row in self.leaf_rows[pos])
+                for positions in node.groups
+            ),
             "n_items": self.n_items,
             "max_len": self.max_len,
-            "universe": self.universe,
             "threshold": node.threshold,
             "index": node.index,
         }
@@ -503,11 +470,11 @@ class _ShardedMine:
 
     # -- driver --------------------------------------------------------
 
-    def _submit(self, node: _Node, force: set[int]) -> None:
+    def _submit(self, node: _Node) -> None:
         node.attempts += 1
         node.queue_depth = self.inflight
         node.submitted_at = time.perf_counter()
-        task = self._build_task(node, force)
+        task = self._build_task(node)
         future = self.pool.submit(run_node, task)
         self.inflight += 1
         future.add_done_callback(
@@ -516,11 +483,11 @@ class _ShardedMine:
 
     def execute(self) -> list[FrequentItemset]:
         registry = self.registry
-        counters_before = self._counters_before
+        replacements_before = self.pool.counters["worker_replacements"]
         self.started_at = time.perf_counter()
         with registry.timer("parallel.dataflow"):
             for node in self.mine_nodes:
-                self._submit(node, set())
+                self._submit(node)
             while self.unfinished:
                 try:
                     nid, future = self.pool.wait_event(
@@ -534,42 +501,31 @@ class _ShardedMine:
                 self.inflight -= 1
                 node = self.nodes[nid]
                 try:
-                    outcome = future.result()
+                    payload = future.result()
                 except BrokenProcessPool:
                     # A dead worker broke the whole pool; every
                     # in-flight future fails with this. Rebuild once
                     # (generation-guarded) and resubmit each failed
-                    # node with rows attached — tasks are pure.
+                    # node unchanged — tasks are pure.
                     self.pool.recover(
                         getattr(future, "generation", self.pool.generation)
                     )
-                    self._submit(node, self._node_keys(node))
+                    if node.attempts >= MAX_NODE_ATTEMPTS:
+                        raise MiningError(
+                            f"mining node {node.label} failed after "
+                            f"{node.attempts} attempts: its worker died "
+                            "each time"
+                        ) from None
+                    self._submit(node)
                     continue
-                if outcome[0] == MISS:
-                    # The worker that picked this up does not hold a
-                    # referenced leaf (multi-worker pools route tasks
-                    # arbitrarily); reship rows for exactly those keys.
-                    self.pool.note_miss(len(outcome[1]))
-                    self._submit(node, set(outcome[1]))
-                    continue
-                self._complete(node, outcome[1])
-        for name, value in self.pool.counters.items():
-            delta = value - counters_before.get(name, 0)
-            if delta:
-                registry.counter(f"parallel.pool.{name}").inc(delta)
+                self._complete(node, payload)
+        replacements = self.pool.counters["worker_replacements"] - replacements_before
+        if replacements:
+            registry.counter("parallel.pool.worker_replacements").inc(replacements)
         return self._assemble()
-
-    def _node_keys(self, node: _Node) -> set[int]:
-        return {
-            self.leaves[pos][0] for group in node.groups for pos in group
-        }
 
     def _complete(self, node: _Node, payload) -> None:
         registry = self.registry
-        for key in self._node_keys(node):
-            self.pool.mark_resident(
-                key, self.fingerprint, self._tids_by_key[key]
-            )
         if node.kind == "mine":
             _index, size, threshold, seconds, itemsets = payload
             node.region_payload = itemsets
@@ -634,7 +590,7 @@ class _ShardedMine:
         if parent is not None:
             parent.pending -= 1
             if parent.pending == 0:
-                self._submit(parent, set())
+                self._submit(parent)
 
     def _assemble(self) -> list[FrequentItemset]:
         if self.final_node is not None:
@@ -686,16 +642,3 @@ def _emit_region(
     if seconds is not None:
         fields["seconds"] = round(seconds, 6)
     registry.emit("parallel.region", **fields)
-
-
-def _run_shard(task):
-    return mine_shard(*task)
-
-
-def _run_pair(task):
-    return merge_pair(*task)
-
-
-def _run_task(task):
-    """Back-compat alias for the leaf task runner."""
-    return mine_shard(*task)

@@ -1,85 +1,38 @@
-"""Persistent mining pool with per-worker shard residency.
+"""Persistent mining pool: the process substrate of the dataflow miner.
 
 :class:`MiningPool` is the process-pool substrate of the dataflow
 scheduler in :mod:`repro.parallel.miner`. Unlike a bare
-``ProcessPoolExecutor`` it survives *across* mines and lets workers pin
-shard state between them:
+``ProcessPoolExecutor`` it survives *across* mines, so repeated mines
+(``mediar watch`` batches, serving refreshes) reuse already-spawned
+worker processes instead of paying interpreter start-up every time.
 
-- **Residency.** Every task names its shard rows by ``(fingerprint,
-  leaf key)`` instead of carrying them. Workers keep the rows (plus a
-  lazily built vertical item index and, for the finalize node, the
-  assembled full database with its mask table) in module-level caches,
-  so a repeated mine of the same-fingerprint database ships only
-  thresholds and the touched-item universe — not the rows. The
-  fingerprint (:func:`database_fingerprint`) hashes the database's
-  per-item transaction masks plus the shard plan, so "same fingerprint"
-  *implies* byte-identical shard rows.
-- **Delta shipping.** When the database grew since the pool's last mine
-  (the ``mediar watch`` loop), the caller passes the tids whose rows
-  changed; per leaf whose previous tids are a prefix of its new ones,
-  only the appended rows and in-place updates cross the process
-  boundary, and workers patch their resident rows (and vertical index)
-  forward to the new fingerprint.
-- **Self-healing.** Tasks are pure, so a worker that does not hold a
-  referenced shard answers with a ``miss`` sentinel and the scheduler
-  resubmits with the rows attached — residency converges per worker
-  rather than requiring task→worker routing. A dead worker breaks the
-  whole stdlib pool (``BrokenProcessPool``); :meth:`MiningPool.recover`
-  replaces the executor wholesale and forgets all shipping state, so
-  the resubmitted tasks rebuild residency from the fingerprint.
+Workers hold no state between tasks. Every task carries the rows it
+needs — a leaf's rows for a mine node, both children's rows for a pair
+node, the whole database for the finalize node — already projected by
+the parent onto the touched universe for delta mines. Any worker can
+run any task, so there is nothing for a task to miss.
 
-Parent-side state (:attr:`MiningPool.resident_fp`, per-leaf tid
-history, counters) is only ever touched from the scheduler's driver
-thread; completion callbacks merely enqueue events. Worker-side caches
-hold at most one row set per leaf key plus one finalize database, so
-memory is bounded by one database copy per worker (twice, counting the
-finalize cache) — the explicit residency trade: memory for not
-re-pickling a growing corpus on every surveillance batch.
+A dead worker breaks the whole stdlib pool (``BrokenProcessPool``);
+:meth:`MiningPool.recover` replaces the executor wholesale, and the
+scheduler resubmits the failed tasks unchanged — they are pure.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from bisect import bisect_left, insort
-from collections.abc import Collection, Mapping, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from hashlib import blake2b
 
 from repro.mining.transactions import MiningCatalog, TransactionDatabase
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.parallel.merge import merge_pair, merge_shard_itemsets
-from repro.parallel.sharding import plan_digest
 from repro.parallel.worker import mine_shard
-
-#: Outcome tags of :func:`run_node`.
-OK = "ok"
-MISS = "miss"
 
 #: Environment hook for the worker-death harness: ``"<node label>|<marker
 #: path>"`` makes the worker that picks up that node die once (creating
 #: the marker first so the resubmitted task survives).
 KILL_ENV = "MEDIAR_POOL_KILL_NODE"
-
-
-def database_fingerprint(database: TransactionDatabase, plan) -> str:
-    """Content fingerprint of ``(database, shard plan)``.
-
-    Hashes the row/item counts, the full per-item transaction mask
-    table, and the plan's tid partition. Equal fingerprints imply
-    byte-identical shard rows (the mask table determines every row),
-    which is what lets warm mines reference resident rows by name.
-    """
-    digest = blake2b(digest_size=16)
-    digest.update(len(database).to_bytes(8, "little"))
-    digest.update(len(database.catalog).to_bytes(8, "little"))
-    masks = database.item_masks()
-    for item in sorted(masks):
-        mask = masks[item]
-        digest.update(item.to_bytes(4, "little"))
-        digest.update(mask.to_bytes((mask.bit_length() + 7) // 8 or 1, "little"))
-    return f"{digest.hexdigest()}:{plan_digest(plan)}"
 
 
 class WarmCollector:
@@ -100,24 +53,6 @@ class WarmCollector:
         self.entries.append((tuple(sorted(items)), support))
 
 
-# --------------------------------------------------------------------------
-# Worker-side residency. These module-level caches live in each worker
-# process; in tests that drive an inline pool they live in the parent,
-# which is why `reset_residency` is public.
-
-#: leaf key -> [fingerprint, rows tuple, vertical index | None]
-_LEAVES: dict[int, list] = {}
-#: [fingerprint, TransactionDatabase] of the finalize node's full DB.
-_ROOT_DB: list | None = None
-
-
-def reset_residency() -> None:
-    """Drop all resident shard state (tests, and executor teardown)."""
-    global _ROOT_DB
-    _LEAVES.clear()
-    _ROOT_DB = None
-
-
 def _maybe_die(label: str) -> None:
     target = os.environ.get(KILL_ENV)
     if not target:
@@ -130,137 +65,25 @@ def _maybe_die(label: str) -> None:
     os._exit(1)
 
 
-def _vertical_of(entry: list) -> dict[int, list[int]]:
-    """The leaf's item -> ascending local positions index, built lazily."""
-    vertical = entry[2]
-    if vertical is None:
-        vertical = {}
-        for pos, row in enumerate(entry[1]):
-            for item in row:
-                vertical.setdefault(item, []).append(pos)
-        entry[2] = vertical
-    return vertical
-
-
-def _apply_delta(
-    entry: list,
-    fingerprint: str,
-    appended: Sequence[tuple[int, ...]],
-    updates: Mapping[int, tuple[int, ...]],
-) -> None:
-    rows = list(entry[1])
-    vertical = entry[2]
-    for pos, row in updates.items():
-        if vertical is not None:
-            old, new = set(rows[pos]), set(row)
-            for item in old - new:
-                positions = vertical.get(item)
-                if positions:
-                    i = bisect_left(positions, pos)
-                    if i < len(positions) and positions[i] == pos:
-                        positions.pop(i)
-            for item in new - old:
-                insort(vertical.setdefault(item, []), pos)
-        rows[pos] = row
-    base = len(rows)
-    rows.extend(appended)
-    if vertical is not None:
-        for offset, row in enumerate(appended):
-            for item in row:
-                vertical.setdefault(item, []).append(base + offset)
-    entry[0] = fingerprint
-    entry[1] = tuple(rows)
-
-
-def _leaf_rows(fingerprint: str, key: int, shipment) -> tuple | None:
-    """Resolve one leaf's resident rows, or ``None`` on a miss."""
-    kind = shipment[0]
-    entry = _LEAVES.get(key)
-    if kind == "rows":
-        entry = [fingerprint, tuple(shipment[1]), None]
-        _LEAVES[key] = entry
-        return entry[1]
-    if entry is not None and entry[0] == fingerprint:
-        # Already current — a sibling task applied the delta first.
-        return entry[1]
-    if kind == "delta":
-        _kind, base_fp, appended, updates = shipment
-        if entry is None or entry[0] != base_fp:
-            return None
-        _apply_delta(entry, fingerprint, appended, updates)
-        return entry[1]
-    return None  # ("ref",) without residency
-
-
-def _leaf_projection(key: int, universe: tuple[int, ...]) -> tuple:
-    """Leaf rows projected onto the sorted ``universe``, empties dropped.
-
-    Uses the resident vertical index, so a warm delta mine's projection
-    cost tracks the touched neighbourhood (sum of the universe items'
-    supports), not the shard size.
-    """
-    vertical = _vertical_of(_LEAVES[key])
-    buckets: dict[int, list[int]] = {}
-    for item in universe:
-        for pos in vertical.get(item, ()):
-            buckets.setdefault(pos, []).append(item)
-    return tuple(tuple(buckets[pos]) for pos in sorted(buckets))
-
-
-def _root_database(fingerprint: str, rows: tuple, n_items: int) -> TransactionDatabase:
-    global _ROOT_DB
-    if _ROOT_DB is not None and _ROOT_DB[0] == fingerprint:
-        return _ROOT_DB[1]
-    database = TransactionDatabase(rows, MiningCatalog(n_items))
-    _ROOT_DB = [fingerprint, database]
-    return database
-
-
 def run_node(task: dict):
     """Execute one merge-tree node inside a worker process.
 
-    ``task["groups"]`` is a tuple of leaf groups, each a tuple of
-    ``(leaf key, shipment)`` pairs where a shipment is ``("ref",)``,
-    ``("rows", rows)`` or ``("delta", base_fp, appended, updates)``.
-    Returns ``(OK, payload)`` or ``(MISS, missing_keys)`` when a
-    referenced leaf is not resident (the scheduler resubmits with
-    rows attached).
+    ``task["rows"]`` holds one row tuple per input group: the region's
+    rows for a ``mine`` node, the left and right children's rows for a
+    ``pair`` or ``finalize`` node.
     """
     started = time.perf_counter()
     _maybe_die(task["label"])
-    fingerprint = task["fp"]
-    universe = task.get("universe")
-    missing: list[int] = []
-    group_rows: list[tuple] = []
-    for group in task["groups"]:
-        parts: list[tuple] = []
-        for key, shipment in group:
-            rows = _leaf_rows(fingerprint, key, shipment)
-            if rows is None:
-                missing.append(key)
-            elif universe is None:
-                parts.append(rows)
-            else:
-                parts.append(_leaf_projection(key, universe))
-        if not missing:
-            merged: list = []
-            for part in parts:
-                merged.extend(part)
-            group_rows.append(tuple(merged))
-    if missing:
-        return (MISS, tuple(missing))
-
     kind = task["kind"]
     if kind == "mine":
-        result = mine_shard(
+        return mine_shard(
             task["index"],
-            group_rows[0],
+            task["rows"][0],
             task["n_items"],
             task["threshold"],
             task["max_len"],
         )
-        return (OK, result)
-    left_rows, right_rows = group_rows
+    left_rows, right_rows = task["rows"]
     survivors, stats = merge_pair(
         task["left_payload"],
         task["right_payload"],
@@ -271,13 +94,13 @@ def run_node(task: dict):
         task["threshold"],
     )
     if kind == "pair":
-        return (OK, (survivors, stats, time.perf_counter() - started))
+        return survivors, stats, time.perf_counter() - started
     # finalize: the root's closure/dedup pass, pushed down into the top
-    # tree node. Runs the exact root-merge code over the worker's
-    # (cached) full database, so the parent's "merge" is just receiving
-    # the already-closed list.
-    database = _root_database(
-        fingerprint, left_rows + right_rows, task["n_items"]
+    # tree node. Runs the exact root-merge code over the full database
+    # the task carries, so the parent's "merge" is just receiving the
+    # already-closed list.
+    database = TransactionDatabase(
+        left_rows + right_rows, MiningCatalog(task["n_items"])
     )
     collector = WarmCollector()
     local_registry = MetricsRegistry()
@@ -295,23 +118,16 @@ def run_node(task: dict):
         if name.startswith("parallel.merge.")
     }
     return (
-        OK,
-        (
-            closed,
-            collector.entries,
-            stats,
-            counters,
-            time.perf_counter() - started,
-        ),
+        closed,
+        collector.entries,
+        stats,
+        counters,
+        time.perf_counter() - started,
     )
 
 
-# --------------------------------------------------------------------------
-# Parent-side pool.
-
-
 class MiningPool:
-    """A persistent process pool whose workers keep shard rows resident.
+    """A persistent process pool for the dataflow miner.
 
     Parameters
     ----------
@@ -335,60 +151,28 @@ class MiningPool:
         self.width = width if width is not None else self._processes
         self.generation = 0
         self._executor = None
-        self._borrowed = False
-        self.resident_fp: str | None = None
-        #: leaf key -> (fingerprint, tids) of the rows last shipped there.
-        self._leaf_state: dict[int, tuple[str, tuple[int, ...]]] = {}
-        self.counters = {
-            "reuse": 0,
-            "cold_start": 0,
-            "delta_ships": 0,
-            "residency_misses": 0,
-            "worker_replacements": 0,
-        }
-
-    @classmethod
-    def adopt(cls, executor: ProcessPoolExecutor) -> "MiningPool":
-        """Wrap a caller-owned executor (back-compat for raw pools).
-
-        The executor is used as-is and never shut down here; residency
-        still works because its worker processes persist. If it breaks,
-        recovery replaces it with an owned one.
-        """
-        width = getattr(executor, "_max_workers", None) or 1
-        pool = cls(width, width=width)
-        pool._executor = executor
-        pool._borrowed = True
-        return pool
+        self.counters = {"worker_replacements": 0}
 
     # -- executor lifecycle -------------------------------------------
-
-    def _spawn_executor(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(max_workers=self._processes)
 
     @property
     def executor(self) -> ProcessPoolExecutor:
         if self._executor is None:
-            self._executor = self._spawn_executor()
+            self._executor = ProcessPoolExecutor(max_workers=self._processes)
         return self._executor
 
     def recover(self, generation: int) -> None:
-        """Replace a broken executor and forget all shipping state.
+        """Replace a broken executor.
 
         Generation-guarded so one failure wave (every in-flight future
-        of a broken pool fails at once) rebuilds exactly once. Fresh
-        workers have empty residency, which the cleared parent-side
-        state reflects: every resubmitted task ships rows again.
+        of a broken pool fails at once) rebuilds exactly once.
         """
         if generation != self.generation:
             return
         self.generation += 1
         executor, self._executor = self._executor, None
-        self._borrowed = False
         if executor is not None:
             executor.shutdown(wait=False, cancel_futures=True)
-        self.resident_fp = None
-        self._leaf_state.clear()
         self.counters["worker_replacements"] += 1
 
     def submit(self, fn, task):
@@ -419,7 +203,7 @@ class MiningPool:
         return events.get(timeout=timeout)
 
     def shutdown(self) -> None:
-        if self._executor is not None and not self._borrowed:
+        if self._executor is not None:
             self._executor.shutdown()
         self._executor = None
 
@@ -428,68 +212,3 @@ class MiningPool:
 
     def __exit__(self, *exc_info) -> None:
         self.shutdown()
-
-    # -- residency bookkeeping ----------------------------------------
-
-    def plan_shipments(
-        self,
-        fingerprint: str,
-        leaf_tids: Mapping[int, tuple[int, ...]],
-        updated_tids: Collection[int] | None,
-    ) -> dict[int, tuple]:
-        """Decide, per leaf, how its rows reach the workers this mine.
-
-        Returns ``key -> ("ref",) | ("full",) | ("delta", base_fp,
-        n_prev, updated_positions)``. ``updated_tids`` is the caller's
-        promise that every row whose *content* changed since this
-        pool's previous mine is listed (appends are inferred from the
-        tid prefix); the incremental encoder's in-place-update/append
-        contract provides exactly that.
-        """
-        warm = self.resident_fp == fingerprint
-        plans: dict[int, tuple] = {}
-        n_delta = 0
-        updated = (
-            None
-            if warm or updated_tids is None or self.resident_fp is None
-            else frozenset(updated_tids)
-        )
-        for key, tids in leaf_tids.items():
-            if warm:
-                plans[key] = ("ref",)
-                continue
-            previous = self._leaf_state.get(key)
-            if (
-                updated is not None
-                and previous is not None
-                and previous[0] == self.resident_fp
-                and len(tids) >= len(previous[1])
-                and tids[: len(previous[1])] == previous[1]
-            ):
-                positions = tuple(
-                    pos
-                    for pos, tid in enumerate(previous[1])
-                    if tid in updated
-                )
-                plans[key] = ("delta", previous[0], len(previous[1]), positions)
-                n_delta += 1
-            else:
-                plans[key] = ("full",)
-        if warm or n_delta:
-            self.counters["reuse"] += 1
-            self.counters["delta_ships"] += n_delta
-        else:
-            self.counters["cold_start"] += 1
-        self.resident_fp = fingerprint
-        return plans
-
-    def leaf_state(self, key: int) -> tuple[str, tuple[int, ...]] | None:
-        return self._leaf_state.get(key)
-
-    def mark_resident(
-        self, key: int, fingerprint: str, tids: tuple[int, ...]
-    ) -> None:
-        self._leaf_state[key] = (fingerprint, tids)
-
-    def note_miss(self, n: int = 1) -> None:
-        self.counters["residency_misses"] += n

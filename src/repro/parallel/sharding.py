@@ -97,20 +97,6 @@ def round_robin_shards(n_transactions: int, n_shards: int) -> ShardPlan:
     return tuple(tuple(bucket) for bucket in buckets if bucket)
 
 
-def plan_digest(plan: Sequence[Sequence[int]]) -> str:
-    """Stable content digest of a shard plan's tid partition.
-
-    Part of the :func:`repro.parallel.pool.database_fingerprint` key
-    under which workers pin resident shard rows: the same database
-    partitioned differently must not alias in the residency cache.
-    """
-    digest = hashlib.blake2b(digest_size=8)
-    for shard in plan:
-        digest.update(b"|")
-        digest.update(",".join(map(str, shard)).encode("ascii"))
-    return digest.hexdigest()
-
-
 def validate_plan(plan: Sequence[Sequence[int]], n_transactions: int) -> ShardPlan:
     """Check a caller-supplied plan is a covering, disjoint partition."""
     seen: set[int] = set()

@@ -38,14 +38,13 @@ from repro.core.ids import ASSOCIATION_PREFIX, CLUSTER_PREFIX
 from repro.errors import BadQueryError, NotFoundError
 from repro.obs import NULL_REGISTRY, MetricsRegistry, NullRegistry
 from repro.serve.cache import LRUCache
-from repro.serve.indexes import intersect_sorted, rank_positions
+from repro.serve.indexes import DEFAULT_SORT, intersect_sorted, rank_positions
 from repro.serve.store import ResultStore, RunSnapshot
 
 #: Hard ceiling on one page, so a single request cannot serialize an
 #: entire quarter's clusters.
 MAX_PAGE_SIZE = 500
 DEFAULT_PAGE_SIZE = 20
-DEFAULT_SORT = "exclusiveness_confidence"
 
 _NUMERIC_FILTERS = ("min_support", "min_confidence", "min_lift")
 

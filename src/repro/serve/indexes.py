@@ -22,6 +22,10 @@ from typing import Any
 #: Sort keys every run supports beyond its per-method score names.
 BASE_SORT_KEYS = ("support", "confidence", "lift")
 
+#: The list endpoints' sort key when a request names none. Every run
+#: indexes it, even one whose records carry no scores at all.
+DEFAULT_SORT = "exclusiveness_confidence"
+
 
 def _sorted_positions(index: dict[Any, list[int]]) -> dict[Any, tuple[int, ...]]:
     return {key: tuple(sorted(positions)) for key, positions in index.items()}
@@ -94,8 +98,9 @@ class RunIndexes:
         sorted drug-label pair → positions of MCACs whose target
         antecedent contains both drugs.
     order_by:
-        sort key (``support``/``confidence``/``lift`` plus every score
-        name present in the records) → all positions, best-first with
+        sort key (``support``/``confidence``/``lift``,
+        :data:`DEFAULT_SORT`, and every score name present in the
+        records) → all positions, best-first with
         deterministic label tie-breaks. Unfiltered sorted queries are a
         slice of one of these, no sorting at request time.
     prefixes:
@@ -126,7 +131,7 @@ class RunIndexes:
         self.by_pair = _sorted_positions(by_pair)
         self.order_by = {
             key: _ranked_positions(records, key)
-            for key in (*BASE_SORT_KEYS, *sorted(score_names))
+            for key in (*BASE_SORT_KEYS, *sorted(score_names | {DEFAULT_SORT}))
         }
         self.prefixes = PrefixTokenIndex(
             {"drug": by_drug.keys(), "adr": by_adr.keys()}

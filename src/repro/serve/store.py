@@ -196,12 +196,12 @@ class ResultStore:
         The warm-refresh wiring for a serving process that also ingests:
         keep ONE long-lived ``SurveillanceMonitor`` next to the store
         and call this after each ``monitor.ingest(batch)``. The
-        monitor's incremental engine owns a persistent
-        :class:`~repro.parallel.pool.MiningPool`, so each re-mine
-        behind the refresh ships only the batch's delta to workers that
-        already hold the accumulated shard rows — not the history.
-        Constructing a fresh monitor per refresh works but forfeits
-        exactly that residency (every mine is a cold start).
+        monitor's incremental engine carries the closed itemsets over
+        from batch to batch and re-mines only the delta, over a
+        persistent :class:`~repro.parallel.pool.MiningPool` whose
+        worker processes outlive each mine. Constructing a fresh
+        monitor per refresh works but forfeits both (every mine is a
+        full mine on a freshly spawned pool).
         """
         return self.refresh(
             name, monitor.result, include_case_ids=include_case_ids

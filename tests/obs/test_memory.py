@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import mmap
 import time
 
 import pytest
@@ -44,9 +45,14 @@ def test_sampler_attributes_allocation_to_its_stage():
         sampler.stage("quiet")
         time.sleep(0.02)
         sampler.stage("hungry")
-        blob = bytearray(64 * 2**20)
+        # An anonymous mapping always brings in fresh pages; a bytearray
+        # may be served from freed heap memory that is still resident,
+        # leaving RSS where it was.
+        blob = mmap.mmap(-1, 64 * 2**20)
+        for offset in range(0, len(blob), mmap.PAGESIZE):
+            blob[offset] = 1
         time.sleep(0.03)
-        del blob
+        blob.close()
     peaks = sampler.stage_peaks()
     assert peaks["hungry"] >= peaks["quiet"] + 48 * 2**20
     assert sampler.peak_bytes() == max(peaks.values())

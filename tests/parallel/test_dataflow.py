@@ -1,23 +1,21 @@
-"""Dataflow-scheduler differential harness: order, death, and warmth.
+"""Dataflow-scheduler differential harness: order, death, and reuse.
 
 The dependency-driven scheduler in :mod:`repro.parallel.miner` promises
 byte-identical closed sets at any worker count, under ANY completion
-order, across cold and warm pools, and through mid-mine worker death.
-This module attacks each axis directly:
+order, across repeated mines over one persistent pool, and through
+mid-mine worker death. This module attacks each axis directly:
 
 - :class:`InlinePool` replaces the process pool with an in-process
   executor whose ``wait_event`` completes pending futures in a chosen
   adversarial order (FIFO, LIFO, or seeded shuffle), so the scheduler
   sees worst-case orderings deterministically — including a hypothesis
   sweep over random orders.
-- :class:`FlakyPool` injects a ``BrokenProcessPool`` mid-mine and wipes
-  worker residency on recovery, modelling a replaced worker that must
-  rebuild its rows from the fingerprint.
+- :class:`FlakyPool` injects a ``BrokenProcessPool`` mid-mine (once,
+  or on every completion to check the resubmit bound).
 - A real :class:`~repro.parallel.pool.MiningPool` test kills an actual
   worker process via the ``MEDIAR_POOL_KILL_NODE`` hook.
-- Warm/cold tests assert identity of repeated mines plus the residency
-  counters (``reuse``/``cold_start``/``delta_ships``) that the
-  benchmarks record.
+- Repeated-mine tests assert identity of the same and of a grown
+  database mined again over one pool.
 """
 
 from __future__ import annotations
@@ -30,6 +28,7 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import MiningError
 from repro.mining.fpclose import fpclose
 from repro.mining.transactions import (
     MiningCatalog,
@@ -38,20 +37,11 @@ from repro.mining.transactions import (
 )
 from repro.obs import InMemorySink, MetricsRegistry
 from repro.obs.metrics import use_registry
-from repro.parallel.miner import fpclose_sharded
-from repro.parallel.pool import KILL_ENV, MiningPool, reset_residency
+from repro.parallel.miner import MAX_NODE_ATTEMPTS, fpclose_sharded
+from repro.parallel.pool import KILL_ENV, MiningPool
 
 N_ITEMS = 12
 MIN_SUPPORT = 3
-
-
-@pytest.fixture(autouse=True)
-def _clean_residency():
-    # Inline pools run `run_node` in this process, so the worker-side
-    # residency globals live here; keep tests independent.
-    reset_residency()
-    yield
-    reset_residency()
 
 
 def build_rows(seed: int, n_rows: int = 60) -> list[tuple[int, ...]]:
@@ -120,18 +110,20 @@ class InlinePool(MiningPool):
 class FlakyPool(InlinePool):
     """Fails the N-th completion with BrokenProcessPool.
 
-    Recovery also wipes worker-side residency, exactly what replacing
-    the dead worker processes does: the resubmitted tasks must rebuild
-    every referenced shard from the fingerprint (rows reshipped).
+    With ``every=True`` every completion fails instead, modelling a
+    node whose worker dies each time it runs.
     """
 
-    def __init__(self, fail_at: int, **kwargs):
+    def __init__(self, fail_at: int, *, every: bool = False, **kwargs):
         super().__init__(**kwargs)
         self.fail_at: int | None = fail_at
+        self.every = every
         self._n_completed = 0
 
     def _complete_one(self) -> None:
-        if self.fail_at is not None and self._n_completed == self.fail_at:
+        if self.every or (
+            self.fail_at is not None and self._n_completed == self.fail_at
+        ):
             self.fail_at = None
             self._n_completed += 1
             fn, task, future = self._pick()
@@ -139,12 +131,6 @@ class FlakyPool(InlinePool):
             return
         self._n_completed += 1
         super()._complete_one()
-
-    def recover(self, generation: int) -> None:
-        before = self.generation
-        super().recover(generation)
-        if self.generation != before:
-            reset_residency()
 
 
 class TestCompletionOrders:
@@ -168,7 +154,6 @@ class TestCompletionOrders:
     def test_property_shuffled_completions(
         self, order_seed, n_workers, data_seed
     ):
-        reset_residency()  # hypothesis bypasses function-scoped fixtures
         database = build_db(build_rows(data_seed))
         expected = serial_truth(database)
         pool = InlinePool("random", rng=random.Random(order_seed))
@@ -184,27 +169,24 @@ class TestCompletionOrders:
         database = build_db(build_rows(11))
         with InlinePool("fifo") as fifo, InlinePool("lifo") as lifo:
             fpclose_sharded(database, MIN_SUPPORT, n_workers=4, pool=fifo)
-            reset_residency()
             fpclose_sharded(database, MIN_SUPPORT, n_workers=4, pool=lifo)
         assert fifo.completed_labels != lifo.completed_labels
         assert sorted(fifo.completed_labels) == sorted(lifo.completed_labels)
 
 
 class TestWarmPools:
-    def test_warm_remine_is_identical_and_counted(self):
+    def test_warm_remine_is_identical(self):
         database = build_db(build_rows(7))
         expected = serial_truth(database)
         with InlinePool("lifo") as pool:
             cold = fpclose_sharded(
                 database, MIN_SUPPORT, n_workers=4, pool=pool
             )
-            assert pool.counters["cold_start"] == 1
             warm = fpclose_sharded(
                 database, MIN_SUPPORT, n_workers=4, pool=pool
             )
         assert cold == expected
         assert warm == expected
-        assert pool.counters["reuse"] == 1
 
     def test_warm_delta_mine_matches_serial_delta(self):
         database = build_db(build_rows(3))
@@ -220,9 +202,8 @@ class TestWarmPools:
                 touched_mask=mask,
             )
         assert got == expected
-        assert pool.counters["reuse"] >= 1
 
-    def test_grown_database_ships_deltas_not_history(self):
+    def test_grown_database_remine_is_identical(self):
         rows = build_rows(5, n_rows=48)
         with InlinePool("fifo") as pool:
             fpclose_sharded(
@@ -238,12 +219,8 @@ class TestWarmPools:
                 MIN_SUPPORT,
                 n_workers=4,
                 pool=pool,
-                updated_tids=[10],
             )
         assert got == expected
-        assert pool.counters["reuse"] >= 1
-        assert pool.counters["delta_ships"] >= 1
-        assert pool.counters["cold_start"] == 1  # only the first mine
 
     def test_counters_and_node_timeline_reach_registry(self):
         sink = InMemorySink()
@@ -253,8 +230,6 @@ class TestWarmPools:
             fpclose_sharded(database, MIN_SUPPORT, n_workers=4, pool=pool)
             fpclose_sharded(database, MIN_SUPPORT, n_workers=4, pool=pool)
         counters = registry.snapshot().counters
-        assert counters["parallel.pool.cold_start"] == 1
-        assert counters["parallel.pool.reuse"] == 1
         assert counters["parallel.pair.candidates"] > 0
         assert counters["parallel.merge.candidates"] > 0
         nodes = sink.of_type("parallel.node")
@@ -264,7 +239,7 @@ class TestWarmPools:
         assert "finalize:0-3" in kinds
         for record in nodes:
             assert record["t_done"] >= record["t_submit"] >= 0.0
-            assert record["attempts"] >= 1
+            assert record["attempts"] == 1
 
 
 class TestWorkerDeath:
@@ -286,7 +261,6 @@ class TestWorkerDeath:
     def test_property_death_under_shuffled_orders(
         self, order_seed, fail_at, data_seed
     ):
-        reset_residency()
         database = build_db(build_rows(data_seed))
         expected = serial_truth(database)
         pool = FlakyPool(
@@ -297,8 +271,8 @@ class TestWorkerDeath:
         assert pool.counters["worker_replacements"] == 1
 
     def test_warm_state_survives_death_correctly(self):
-        # Die on the warm re-mine: the pool must come back cold (rows
-        # reshipped from the fingerprint) yet produce the same bytes.
+        # Die on the second mine over the same pool: the replaced
+        # executor must produce the same bytes.
         database = build_db(build_rows(17))
         expected = serial_truth(database)
         pool = FlakyPool(10**9, order="fifo")  # no failure on mine 1
@@ -308,7 +282,17 @@ class TestWorkerDeath:
         assert cold == expected
         assert warm == expected
         assert pool.counters["worker_replacements"] == 1
-        assert pool.counters["residency_misses"] >= 1
+
+    def test_node_that_always_dies_fails_bounded(self):
+        database = build_db(build_rows(13))
+        pool = FlakyPool(0, every=True, order="fifo")
+        with pytest.raises(MiningError) as excinfo:
+            fpclose_sharded(database, MIN_SUPPORT, n_workers=4, pool=pool)
+        message = str(excinfo.value)
+        assert "\n" not in message
+        assert "mine:0-0" in message
+        assert f"{MAX_NODE_ATTEMPTS} attempts" in message
+        assert pool.counters["worker_replacements"] == MAX_NODE_ATTEMPTS
 
     def test_real_pool_worker_death(self, tmp_path, monkeypatch):
         database = build_db(build_rows(21))

@@ -22,7 +22,9 @@ from repro.core.ranking import RankingMethod
 from repro.faers import ReportDataset, SyntheticConfig, SyntheticFAERSGenerator
 from repro.mining.fpclose import fpclose
 from repro.mining.transactions import canonical_itemset_order, resolve_min_support
-from repro.parallel import fpclose_sharded, plan_shards
+from repro.obs import InMemorySink, MetricsRegistry
+from repro.obs.metrics import use_registry
+from repro.parallel import MiningPool, fpclose_sharded, plan_shards
 
 SEED_GRID = (11, 47, 2014)
 SUPPORTS = (3, 5)
@@ -86,6 +88,30 @@ class TestMinerEquivalence:
             plan=plan_shards(dataset, 2, strategy),
         )
         assert sharded == single
+
+
+class TestRealPool:
+    def test_every_node_runs_once_on_a_real_pool(self):
+        # No worker dies here, so any resubmission is the scheduler
+        # re-running a node for nothing; on this fixture that once
+        # meant thousands of resubmissions of the finalize node.
+        dataset = two_quarter_dataset(11)
+        database = dataset.encode().database
+        threshold = resolve_min_support(3, len(database))
+        serial = canonical_itemset_order(fpclose(database, threshold))
+        sink = InMemorySink()
+        with MiningPool(2) as pool, use_registry(MetricsRegistry(sink=sink)):
+            sharded = fpclose_sharded(
+                database,
+                threshold,
+                n_workers=2,
+                plan=plan_shards(dataset, 2, "hash"),
+                pool=pool,
+            )
+        nodes = sink.of_type("parallel.node")
+        assert nodes
+        assert [record["attempts"] for record in nodes] == [1] * len(nodes)
+        assert sharded == serial
 
 
 class TestPipelineEquivalence:
