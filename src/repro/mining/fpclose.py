@@ -4,28 +4,22 @@ The paper's pipeline (§5.2) mines *closed* itemsets so that every
 generated drug-ADR rule is a supported association (Lemma 3.4.2) and the
 rule space collapses by orders of magnitude (Fig 5.1).
 
-The miner here is an LCM-style prefix-preserving closure-extension
-search (Uno et al., FIMI'04) over the database's vertical representation
-— each candidate is extended by one item, the tidset is intersected, the
-closure is computed, and the branch is kept only if the closure does not
-disturb the prefix. This enumerates every closed itemset exactly once with
-no duplicate-detection hash table.
+:func:`fpclose` is LCM ver. 2 (Uno, Kiyomi & Arimura, FIMI'04): a
+prefix-preserving closure-extension search with *occurrence delivery*.
+Each row is projected once onto the ranks of its frequent items, in
+ascending support order. A search node holds a closed prefix, its tid
+list and its core rank; one pass over the node's rows buckets every
+tid under each rank above the core, so each bucket is an extension's
+tidset and only items that actually co-occur with the prefix are
+visited. A bucket's closure is the intersection of its rows, and the
+branch is kept only if the closure adds no rank below the extension —
+every closed itemset is enumerated exactly once, with no
+duplicate-detection table.
 
-Two implementations share that search shape:
-
-- :func:`fpclose` — the production miner. Tidsets are **integer
-  bitmasks** (one bit per transaction), so every intersection is a
-  single C-level ``&`` and every support a ``bit_count()``. Each branch
-  carries a *conditional candidate list*: only the items that survived
-  the parent's intersection at ≥ threshold are re-examined, and the
-  closure test is fused into the same scan that builds the child's
-  candidate list — one popcount per (branch, candidate) pair decides
-  "in closure", "still a candidate", or "pruned". Items are ordered by
-  ascending support so low-support cores shed candidates as early as
-  possible.
-- :func:`fpclose_reference` — the original ``frozenset``-tidset miner,
-  kept as the equivalence oracle and the "before" series of the
-  set-vs-bitset benchmark group.
+:func:`fpclose_reference` is the original ``frozenset``-tidset search,
+which re-scans every frequent item per closure. It is kept as the
+equivalence oracle and the "before" series of the mining-scaling
+benchmark.
 
 Both keep the name ``fpclose`` lineage after the FP-Growth-based closed
 mining the paper describes; the output contract is identical (all closed
@@ -35,6 +29,8 @@ Apriori/FP-Growth output.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
 
 from repro.errors import ConfigError
 from repro.mining.transactions import (
@@ -54,17 +50,23 @@ def touched_universe(
     Every closed itemset whose tidset intersects ``touched_mask`` is
     contained in some touched row, hence in this union, so projecting
     rows onto it preserves every support the delta contract needs.
-    This is the shared pushdown hook of the sharded miner
-    (:mod:`repro.parallel.miner`): the parent projects every shard's
-    rows onto the universe before they reach a worker.
+    :func:`fpclose` drops the items outside it before searching, and
+    the sharded miner (:mod:`repro.parallel.miner`) projects every
+    shard's rows onto it before they reach a worker.
     """
-    items: set[int] = set()
-    remaining = touched_mask
-    while remaining:
-        low = remaining & -remaining
-        items |= database[low.bit_length() - 1]
-        remaining ^= low
-    return frozenset(items)
+    tids = _mask_tids(touched_mask, len(database))
+    return frozenset().union(*map(database.__getitem__, tids))
+
+
+def _mask_tids(mask: int, n_transactions: int) -> list[int]:
+    """The tids below ``n_transactions`` whose bit is set in ``mask``."""
+    bits = bin(mask)[:1:-1][:n_transactions]  # least significant bit first
+    tids = []
+    tid = bits.find("1")
+    while tid >= 0:
+        tids.append(tid)
+        tid = bits.find("1", tid + 1)
+    return tids
 
 
 def fpclose(
@@ -74,7 +76,7 @@ def fpclose(
     max_len: int | None = None,
     touched_mask: int | None = None,
 ) -> list[FrequentItemset]:
-    """Mine all closed frequent itemsets of ``database`` (bitset core).
+    """Mine all closed frequent itemsets of ``database`` (occurrence delivery).
 
     Parameters
     ----------
@@ -90,10 +92,10 @@ def fpclose(
     touched_mask:
         Optional transaction bitmask restricting the search to closed
         itemsets whose tidset intersects the mask. Branch tidsets only
-        shrink along a DFS path, so a branch whose projected mask is
-        disjoint from ``touched_mask`` can never reach a touched
-        transaction anywhere in its subtree and is skipped whole — this
-        is what makes delta re-mining in :mod:`repro.incremental` cost
+        shrink along a DFS path, so a branch whose tidset is disjoint
+        from ``touched_mask`` can never reach a touched transaction
+        anywhere in its subtree and is skipped whole — this is what
+        makes delta re-mining in :mod:`repro.incremental` cost
         proportional to the delta. ``None`` (the default) mines
         everything; ``0`` returns nothing.
 
@@ -105,6 +107,13 @@ def fpclose(
         restricted, when ``touched_mask`` is given, to exactly those
         whose tidset intersects it. The empty itemset is never
         returned, even when no item is universal.
+
+    Counters (flushed once per call): ``fpclose.branches`` (search
+    nodes expanded), ``fpclose.closure_calls`` (closures computed),
+    ``fpclose.closed_itemsets``, ``fpclose.delta_subtrees_skipped`` and
+    ``fpclose.closure_item_checks`` — the item occurrences visited:
+    every occurrence delivered into a bucket, plus one probe per
+    closure item per row intersected when taking a bucket's closure.
     """
     threshold = resolve_min_support(min_support, len(database))
     if max_len is not None and max_len < 1:
@@ -113,30 +122,34 @@ def fpclose(
         raise ConfigError(f"touched_mask must be >= 0, got {touched_mask}")
     if touched_mask == 0:
         return []
-    # -1 is all-ones: in the unrestricted case the filter below reduces
-    # to `ext & -1 == ext`, always truthy for a non-empty tidset, so the
-    # hot loop pays one C-level AND and no branch misprediction.
-    touched = -1 if touched_mask is None else touched_mask
 
     registry = get_registry()
-    branches = registry.counter("fpclose.branches")
-    closures = registry.counter("fpclose.closure_calls")
     with registry.timer("fpclose"):
         n_transactions = len(database)
         supports = database.item_supports()
+        frequent = [item for item, count in supports.items() if count >= threshold]
+        touched = None
+        if touched_mask is not None:
+            touched = frozenset(_mask_tids(touched_mask, n_transactions))
+            # A closed itemset whose tidset meets a touched row lies
+            # inside that row, so items of no touched row never matter.
+            universe = touched_universe(database, touched_mask)
+            frequent = [item for item in frequent if item in universe]
         # Ascending support (ties by item id, for determinism): rare
         # items become cores first, so their small tidsets prune the
         # deepest subtrees before dense items multiply the branching.
-        order = sorted(
-            (item for item, count in supports.items() if count >= threshold),
-            key=lambda item: (supports[item], item),
-        )
+        order = sorted(frequent, key=lambda item: (supports[item], item))
         if not order:
             return []
-        masks = database.item_masks()
-        rank_masks = [masks[item] for item in order]
-        n_ranks = len(order)
-        full = (1 << n_transactions) - 1
+        rank_of = {item: r for r, item in enumerate(order)}
+        rank = rank_of.__getitem__
+        # Each row projected onto the ascending ranks of its frequent
+        # items, so bisect finds the ranks above a core.
+        rows: list[list[int]] = [
+            sorted(map(rank, rank_of.keys() & transaction))
+            for transaction in database
+        ]
+        row_of = rows.__getitem__
 
         results: list[FrequentItemset] = []
         # Hot-loop counters accumulate in plain locals and flush into
@@ -145,109 +158,75 @@ def fpclose(
         n_branches = 0
         n_closures = 1
         n_skipped = 0
-        item_checks = n_ranks
+        item_checks = len(order)
 
         # Root closure: items present in every transaction.
-        root = [r for r in range(n_ranks) if rank_masks[r] == full]
+        root = frozenset(
+            r for r, item in enumerate(order) if supports[item] == n_transactions
+        )
         if root and (max_len is None or len(root) <= max_len):
             results.append(
-                FrequentItemset(
-                    frozenset(order[r] for r in root), n_transactions
-                )
+                FrequentItemset(frozenset(order[r] for r in root), n_transactions)
             )
-        if max_len is not None and root and len(root) >= max_len:
-            closures.inc(n_closures)
-            registry.counter("fpclose.closed_itemsets").inc(len(results))
-            registry.counter("fpclose.closure_item_checks").inc(item_checks)
-            return results
-
-        in_root = frozenset(root)
-        # A candidate is (rank, projected mask, projected support): the
-        # mask is the item's tidset already intersected with the owning
-        # branch's tidset, the support its popcount. The parent's
-        # closure scan computes both as a byproduct, so an extension
-        # needs no AND and no popcount of its own — its tidset and
-        # support are read straight off the candidate tuple.
-        root_candidates = tuple(
-            (r, rank_masks[r], supports[order[r]])
-            for r in range(n_ranks)
-            if r not in in_root
-        )
-
-        # Explicit DFS stack of (closed prefix ranks, conditional
-        # candidates ascending by rank, extension start index).
-        # Extensions only use candidates strictly greater than the core
-        # rank (everything from ``start`` on), which is what makes the
-        # enumeration duplicate-free; candidates before ``start`` are
-        # carried anyway because one of them turning "universal" in a
-        # deeper tidset is exactly the prefix-preservation violation
-        # that must prune the branch.
-        stack: list[
-            tuple[tuple[int, ...], tuple[tuple[int, int, int], ...], int]
-        ] = [(tuple(root), root_candidates, 0)]
-        bit_count = int.bit_count  # unbound: saves a method bind per AND
-        while stack:
-            prefix, candidates, start = stack.pop()
-            n_branches += 1
-            n_candidates = len(candidates)
-            for pos in range(start, n_candidates):
-                r, ext, ext_count = candidates[pos]
-                # Delta restriction: every tidset in this subtree is a
-                # subset of `ext`, so if `ext` misses the touched rows
-                # entirely, nothing below can intersect them either —
-                # the closure scan and the whole subtree are skipped.
-                if not ext & touched:
-                    n_skipped += 1
-                    continue
-                n_closures += 1
-                # Fused closure + conditional-candidate scan: for every
-                # candidate j of the parent, one intersection popcount
-                # classifies it. Equal to the branch support → j is in
-                # the closure (a j before the core in support order
-                # violates prefix preservation and kills the branch);
-                # ≥ threshold → j stays a candidate for descendants;
-                # below threshold → j disappears from this subtree.
-                closed = list(prefix)
-                closed.append(r)
-                child_candidates: list[tuple[int, int, int]] = []
-                child_start = 0
-                preserved = True
-                item_checks += n_candidates
-                for j, j_mask, _ in candidates:
-                    if j == r:
+        if max_len is None or len(root) < max_len:
+            # Explicit DFS stack of (closed prefix ranks, ascending tid
+            # list, core rank). Extensions only use ranks strictly above
+            # the core, which is what makes the enumeration
+            # duplicate-free.
+            stack: list[tuple[frozenset[int], list[int], int]] = [
+                (root, list(range(n_transactions)), -1)
+            ]
+            while stack:
+                prefix, tids, core = stack.pop()
+                n_branches += 1
+                n_tids = len(tids)
+                # Occurrence delivery: one pass over the node's rows
+                # buckets every tid under each rank above the core, so
+                # each bucket is that extension's tidset — only items
+                # that actually co-occur with the prefix are touched.
+                buckets: dict[int, list[int]] = {}
+                get = buckets.get
+                for tid in tids:
+                    row = rows[tid]
+                    for r in row[bisect_right(row, core):]:
+                        bucket = get(r)
+                        if bucket is None:
+                            buckets[r] = [tid]
+                        else:
+                            bucket.append(tid)
+                item_checks += sum(map(len, buckets.values()))
+                for r in sorted(buckets):
+                    ext = buckets[r]
+                    support = len(ext)
+                    # A bucket as large as the node is a prefix item
+                    # (the prefix is closed); a small one is infrequent.
+                    if support < threshold or support == n_tids:
                         continue
-                    intersection = j_mask & ext
-                    if not intersection:
-                        # Empty intersections are the common case deep
-                        # in the tree; ext_count >= threshold >= 1, so
-                        # this can be neither a closure member nor a
-                        # surviving candidate — skip the popcount.
+                    # Delta restriction: every tidset in this subtree is
+                    # a subset of `ext`, so if `ext` misses the touched
+                    # rows entirely, nothing below can intersect them
+                    # either — the closure and the whole subtree are
+                    # skipped.
+                    if touched is not None and touched.isdisjoint(ext):
+                        n_skipped += 1
                         continue
-                    count = bit_count(intersection)
-                    if count == ext_count:
-                        if j < r:
-                            preserved = False
-                            break
-                        closed.append(j)
-                    elif count >= threshold:
-                        if j < r:
-                            child_start += 1
-                        child_candidates.append((j, intersection, count))
-                if not preserved:
-                    continue
-                if max_len is not None and len(closed) > max_len:
-                    continue
-                results.append(
-                    FrequentItemset(
-                        frozenset(order[k] for k in closed), ext_count
-                    )
-                )
-                if max_len is None or len(closed) < max_len:
-                    stack.append(
-                        (tuple(closed), tuple(child_candidates), child_start)
-                    )
-        branches.inc(n_branches)
-        closures.inc(n_closures)
+                    n_closures += 1
+                    closed = frozenset(rows[ext[0]]).intersection(*map(row_of, ext))
+                    item_checks += support * len(closed)
+                    # Prefix preservation: the closure may add no rank
+                    # below the extension that the prefix lacks —
+                    # otherwise this closed set is reached from an
+                    # earlier branch.
+                    if min(closed - prefix) != r:
+                        continue
+                    if max_len is not None and len(closed) > max_len:
+                        continue
+                    items = frozenset(map(order.__getitem__, closed))
+                    results.append(FrequentItemset(items, support))
+                    if max_len is None or len(closed) < max_len:
+                        stack.append((closed, ext, r))
+        registry.counter("fpclose.branches").inc(n_branches)
+        registry.counter("fpclose.closure_calls").inc(n_closures)
         if n_skipped:
             registry.counter("fpclose.delta_subtrees_skipped").inc(n_skipped)
         registry.counter("fpclose.closed_itemsets").inc(len(results))
@@ -265,8 +244,8 @@ def fpclose_reference(
 
     Same contract as :func:`fpclose`; tidsets are ``frozenset[int]`` and
     every closure call re-scans all frequent items. Kept verbatim so the
-    bitset core has an in-tree referee and the mining-scaling benchmark
-    can report the set-vs-bitset speedup.
+    production miner has an in-tree referee and the mining-scaling
+    benchmark can report the speedup over it.
     """
     threshold = resolve_min_support(min_support, len(database))
     if max_len is not None and max_len < 1:

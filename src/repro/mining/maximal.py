@@ -19,6 +19,7 @@ from repro.mining.fpclose import fpclose
 from repro.mining.transactions import (
     FrequentItemset,
     TransactionDatabase,
+    canonical_itemset_order,
 )
 
 
@@ -32,7 +33,9 @@ def maximal_itemsets(
 
     Same parameter contract as :func:`~repro.mining.fpclose.fpclose`.
     With ``max_len`` set, maximality is relative to the length-capped
-    closed family (a capped run cannot see longer supersets).
+    closed family (a capped run cannot see longer supersets). The
+    result is in :func:`canonical_itemset_order`, independent of the
+    miner's enumeration order.
     """
     closed = fpclose(database, min_support, max_len=max_len)
     if not closed:
@@ -50,7 +53,7 @@ def maximal_itemsets(
                 continue
             maximal.append(itemset)
             accepted.append(itemset.items)
-    return maximal
+    return canonical_itemset_order(maximal)
 
 
 def lattice_summary(

@@ -30,6 +30,7 @@ event loop per worker process:
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import os
 import signal
@@ -483,6 +484,24 @@ def worker_main(
     asyncio.run(main())
 
 
+@contextmanager
+def _frozen_heap() -> Iterator[None]:
+    """Fork workers inside this block with the parent's heap frozen.
+
+    ``gc.freeze`` moves every live object to the permanent generation,
+    so a forked worker's collections never walk the heap it inherited
+    (its first full collection otherwise stalled requests ~150 ms) and
+    never write to those copy-on-write pages. The parent unfreezes
+    after forking, so its own later garbage stays collectable.
+    """
+    gc.collect()
+    gc.freeze()
+    try:
+        yield
+    finally:
+        gc.unfreeze()
+
+
 def serve_forked(
     responder_or_factory: ApiResponder | Callable[[], ApiResponder],
     host: str,
@@ -527,30 +546,31 @@ def serve_forked(
     if metrics_dir is not None:
         metrics_dir.mkdir(parents=True, exist_ok=True)
     pids = []
-    for worker_id in range(n_workers):
-        pid = os.fork()
-        if pid == 0:
-            status = 0
-            try:
-                hub = (
-                    WorkerMetricsHub(metrics_dir, worker_id, n_workers)
-                    if metrics_dir is not None
-                    else None
-                )
-                worker_main(
-                    responder,
-                    sock,
-                    hub=hub,
-                    max_connections=max_connections,
-                    grace=grace,
-                )
-            except BaseException:  # noqa: BLE001 — worker exit status only
-                status = 1
-            finally:
-                sys.stdout.flush()
-                sys.stderr.flush()
-                os._exit(status)
-        pids.append(pid)
+    with _frozen_heap():
+        for worker_id in range(n_workers):
+            pid = os.fork()
+            if pid == 0:
+                status = 0
+                try:
+                    hub = (
+                        WorkerMetricsHub(metrics_dir, worker_id, n_workers)
+                        if metrics_dir is not None
+                        else None
+                    )
+                    worker_main(
+                        responder,
+                        sock,
+                        hub=hub,
+                        max_connections=max_connections,
+                        grace=grace,
+                    )
+                except BaseException:  # noqa: BLE001 — worker exit status only
+                    status = 1
+                finally:
+                    sys.stdout.flush()
+                    sys.stderr.flush()
+                    os._exit(status)
+            pids.append(pid)
     sock.close()  # workers hold their inherited copies
 
     def forward(signum, frame) -> None:
@@ -595,24 +615,25 @@ def forked_workers(
     if metrics_dir is not None:
         Path(metrics_dir).mkdir(parents=True, exist_ok=True)
     pids = []
-    for worker_id in range(n_workers):
-        pid = os.fork()
-        if pid == 0:
-            status = 0
-            try:
-                hub = (
-                    WorkerMetricsHub(metrics_dir, worker_id, n_workers)
-                    if metrics_dir is not None
-                    else None
-                )
-                worker_main(
-                    responder, sock, hub=hub, max_connections=max_connections
-                )
-            except BaseException:  # noqa: BLE001 — worker exit status only
-                status = 1
-            finally:
-                os._exit(status)
-        pids.append(pid)
+    with _frozen_heap():
+        for worker_id in range(n_workers):
+            pid = os.fork()
+            if pid == 0:
+                status = 0
+                try:
+                    hub = (
+                        WorkerMetricsHub(metrics_dir, worker_id, n_workers)
+                        if metrics_dir is not None
+                        else None
+                    )
+                    worker_main(
+                        responder, sock, hub=hub, max_connections=max_connections
+                    )
+                except BaseException:  # noqa: BLE001 — worker exit status only
+                    status = 1
+                finally:
+                    os._exit(status)
+            pids.append(pid)
     sock.close()
     try:
         yield f"http://{host}:{port}"

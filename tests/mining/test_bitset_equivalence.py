@@ -1,9 +1,9 @@
 """Cross-checks of the bitset mining core against the set-based reference.
 
-The bitset rewrite (``fpclose`` over integer bitmasks, the memoized
-:class:`~repro.mining.bitsets.SupportOracle`) is only a performance
-change — every answer must match the frozenset-tidset implementations
-bit for bit. These tests enforce that on two fronts:
+The production miner (``fpclose``, occurrence delivery) and the
+memoized :class:`~repro.mining.bitsets.SupportOracle` are only
+performance changes — every answer must match the frozenset-tidset
+implementations bit for bit. These tests enforce that on two fronts:
 
 - a seed grid of synthetic FAERS quarters (realistic density, planted
   interactions, verbatim tails) where ``fpclose`` must reproduce

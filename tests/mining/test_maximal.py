@@ -64,3 +64,17 @@ def test_maximal_properties_random(transactions, threshold):
     # coverage: every frequent itemset under some maximal one
     for items in frequent:
         assert any(items <= cover for cover in maximal)
+
+
+def test_order_is_canonical_whatever_the_miner_enumerates(toy_database, monkeypatch):
+    """The output order is fixed by the itemsets, not by the search order."""
+    from repro.mining import maximal as maximal_module
+    from repro.mining.transactions import canonical_itemset_order
+
+    forward = maximal_itemsets(toy_database, 1)
+    assert forward == canonical_itemset_order(forward)
+    mine = maximal_module.fpclose
+    monkeypatch.setattr(
+        maximal_module, "fpclose", lambda *a, **k: list(reversed(mine(*a, **k)))
+    )
+    assert maximal_itemsets(toy_database, 1) == forward
