@@ -173,8 +173,8 @@ class SurveillanceMonitor:
         """Release engine resources; idempotent.
 
         Shuts down the engine's persistent
-        :class:`~repro.parallel.pool.MiningPool` (shared by batch
-        normalization and sharded re-mining). Its worker processes are
+        :class:`~repro.parallel.pool.MiningPool` (used by sharded
+        re-mining). Its worker processes are
         spawned once and reused by every batch, so close only when the
         stream is done, not between batches.
         """

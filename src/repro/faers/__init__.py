@@ -11,17 +11,19 @@ abstraction:
   quarterly files (both legacy AERS ``ISR`` and modern ``primaryid``
   layouts).
 - :mod:`repro.faers.cleaning` — drug-name normalization, misspelling
-  repair against a vocabulary, and case de-duplication (§5.2's "data
-  preparation and cleaning" step).
+  repair against a vocabulary, and case merging and de-duplication
+  (§5.2's "data preparation and cleaning" step), as one fold over
+  batches of rows.
 - :mod:`repro.faers.dataset` — :class:`ReportDataset`, the bridge from
   reports to the mining substrate's transaction database, with report
-  linkage preserved so ranked rules can be traced back to source cases.
+  linkage preserved so ranked rules can be traced back to source cases,
+  and the one report → item-id encoder.
 - :mod:`repro.faers.synthetic` — a generator of synthetic FAERS quarters
   with *planted* drug-drug-interaction ground truth, standing in for the
   real 2014 extracts (see DESIGN.md, substitutions).
 - :mod:`repro.faers.ingest` — the streaming tier: chunked, bounded-memory
   clean + encode of any report iterable (the million-report capacity
-  path; byte-identical to the one-shot chain for single-version streams).
+  path; byte-identical to the one-shot chain).
 - :mod:`repro.faers.vocab` — drug/ADR vocabularies seeded with the names
   appearing in the paper.
 """

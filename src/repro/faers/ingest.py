@@ -1,73 +1,50 @@
 """Streaming, bounded-memory ingest: clean + encode a report stream.
 
-The one-shot path materializes three full copies of a quarter on its way
-into the miner: the raw ``list[CaseReport]``, the cleaned list, and the
-encoded database. At the ~5k-report benchmark scale nobody notices; at
-the million-report capacity tier the raw/cleaned report lists alone cost
-hundreds of megabytes that the miner never looks at.
+The one-shot path materializes the raw ``list[CaseReport]`` on its way
+into the miner. At the ~5k-report benchmark scale nobody notices; at
+the million-report capacity tier the raw list alone costs hundreds of
+megabytes that the miner never looks at.
 
 :func:`encode_stream` consumes any ``Iterable[CaseReport]`` — a list, the
 synthetic generator's :meth:`~repro.faers.synthetic.
 SyntheticFAERSGenerator.iter_reports`, or the parser's
-:func:`~repro.faers.parser.iter_quarter` — in fixed-size chunks and
-builds the :class:`~repro.mining.transactions.GrowableTransactionDatabase`
-directly. Peak memory is the retained encoded state (database, catalog,
-per-case index) plus **O(chunk_size)** transient rows: no full raw list,
-no full cleaned list, and no retained ``CaseReport`` objects unless the
-caller asks for them (``keep_reports=True`` restores the one-shot
-drill-down behaviour at one-shot memory cost). The bounded-memory
-regression test (``tests/faers/test_streaming_memory.py``) holds the
-transient overhead to O(chunk) so the path cannot silently regress to a
-hidden ``list()``.
+:func:`~repro.faers.parser.iter_quarter` — in fixed-size chunks. Each
+chunk goes through the cleaning fold
+(:class:`~repro.faers.cleaning.IncrementalCleaner`) and the resulting
+delta through the encoder
+(:class:`~repro.faers.dataset.IncrementalEncoder`), the same two objects
+:class:`~repro.faers.cleaning.ReportCleaner`,
+:meth:`~repro.faers.dataset.ReportDataset.encode` and the incremental
+surveillance engine run. Peak memory is the retained state — one merged
+report per kept case, the encoded database and catalog — plus
+**O(chunk_size)** transient rows: no raw list is ever held. The
+bounded-memory regression test (``tests/faers/test_streaming_memory.py``)
+holds the transient overhead to O(chunk) so the path cannot silently
+regress to a hidden ``list()``.
 
 Equivalence contract
 --------------------
-For a stream in which every case id appears once (the synthetic source;
-a deduplicated extract), the resulting catalog, transactions, case ids
-and :class:`~repro.faers.cleaning.CleaningStats` are **byte-identical**
-to ``ReportCleaner().clean(list(stream))`` → ``ReportDataset.encode()``
-— enforced across seed grids and arbitrary chunk sizes by
-``tests/faers/test_streaming.py``. Two whole-pass decisions are made
-streaming-safe:
-
-- **drug/ADR label collisions** — the one-shot encoder suffixes an ADR
-  term that collides with *any* drug label in the dataset, a decision
-  that needs full-pass visibility. The streaming encoder instead repairs
-  on first collision: the already-encoded unsuffixed ADR item is renamed
-  in place (:meth:`~repro.mining.transactions.ItemCatalog.rename_label`
-  — ids are first-seen-row ordered, and a rename moves no rows), which
-  reproduces the one-shot catalog exactly at O(1) cost.
-- **exact-duplicate drop** — decided on each case's content at *first
-  sight*, which equals the one-shot post-merge decision whenever first
-  sight is final.
-
-Streams that carry follow-up versions of a case are still accepted:
-later rows union-merge into the case's database row in place
-(:meth:`~repro.mining.transactions.GrowableTransactionDatabase.
-update_row`), matching the one-shot merge. The one caveat is the
-duplicate drop above: a case whose content only *becomes* an exact
-duplicate of another case after a later merge is kept by the streaming
-path but dropped by the one-shot pass (which decides after all merging).
-Surveillance streams needing exact follow-up semantics belong on
-:class:`~repro.incremental.IncrementalEngine`, which carries the full
-per-case merge state for precisely this reason.
+For any stream and any chunk size, the resulting catalog, transactions,
+case ids, reports and :class:`~repro.faers.cleaning.CleaningStats` are
+**byte-identical** to ``ReportCleaner().clean(list(stream))`` →
+``ReportDataset.encode()`` (``tests/faers/test_streaming.py``). Chunks
+are applied to the encoding in place; a follow-up version that the
+in-place encoding cannot express (see
+:meth:`~repro.faers.dataset.IncrementalEncoder.rebuild_reason`, or a
+merge that flips an earlier case's duplicate drop) marks the encoding
+stale, and :meth:`StreamEncoder.finish` re-encodes the kept reports
+once.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigError
-from repro.faers.cleaning import (
-    CleaningStats,
-    SpellingCorrector,
-    clean_terms,
-    normalize_adr_term,
-    normalize_drug_name,
-)
-from repro.faers.dataset import _COLLISION_SUFFIX, ADR_KIND, DRUG_KIND
+from repro.faers.cleaning import CleaningStats, ReportCleaner
+from repro.faers.dataset import IncrementalEncoder
 from repro.faers.schema import CaseReport
 from repro.mining.transactions import (
     GrowableTransactionDatabase,
@@ -94,18 +71,15 @@ def iter_chunks(reports: Iterable[CaseReport], chunk_size: int) -> Iterator[list
 class StreamedIngest:
     """What one :func:`encode_stream` pass produced.
 
-    ``database`` rows, ``case_ids`` and the catalog are parallel to the
-    one-shot ``ReportDataset.encode()`` output; ``reports`` is populated
-    only under ``keep_reports=True`` (the capacity path leaves it empty —
-    retaining a million ``CaseReport`` objects is exactly the cost this
-    module exists to avoid).
+    ``database`` rows, ``case_ids``, ``reports`` and the catalog are
+    parallel to the one-shot ``ReportDataset.encode()`` output.
     """
 
     database: GrowableTransactionDatabase
     case_ids: list[str]
+    reports: list[CaseReport]
     cleaning_stats: CleaningStats
     n_chunks: int = 0
-    reports: list[CaseReport] = field(default_factory=list)
 
     @property
     def catalog(self) -> ItemCatalog:
@@ -116,8 +90,7 @@ class StreamEncoder:
     """Chunked clean + encode into a growable database.
 
     One instance per stream; feed chunks with :meth:`ingest_chunk` (or
-    let :func:`encode_stream` drive it) and read the accumulated state
-    from the attributes mirrored by :class:`StreamedIngest`.
+    let :func:`encode_stream` drive it), then call :meth:`finish`.
     """
 
     def __init__(
@@ -125,137 +98,50 @@ class StreamEncoder:
         *,
         drug_vocabulary: Iterable[str] | None = None,
         adr_vocabulary: Iterable[str] | None = None,
-        keep_reports: bool = False,
     ) -> None:
-        self.catalog = ItemCatalog()
-        self.database = GrowableTransactionDatabase([], self.catalog)
-        self.case_ids: list[str] = []
-        self.stats = CleaningStats()
-        self.reports: list[CaseReport] = []
+        self._cleaner = ReportCleaner(drug_vocabulary, adr_vocabulary).fold()
+        self._encoder = IncrementalEncoder()
+        self._stale = False  # a chunk could not be applied in place
         self.n_chunks = 0
-        self._keep_reports = keep_reports
-        self._drug_corrector = (
-            SpellingCorrector(drug_vocabulary) if drug_vocabulary else None
-        )
-        self._adr_corrector = (
-            SpellingCorrector(adr_vocabulary) if adr_vocabulary else None
-        )
-        # Collision namespace: every drug label seen so far, and the ADR
-        # terms currently encoded *without* the collision suffix (the
-        # candidates for in-place repair).
-        self._drug_labels: set[str] = set()
-        self._unsuffixed_adr_item: dict[str, int] = {}
-        # Per-case state, all O(distinct kept cases) and id-sized:
-        # tid for follow-up merging, signature set for the duplicate drop.
-        self._tid_by_case: dict[str, int] = {}
-        self._seen_signatures: set[tuple[tuple[str, ...], tuple[str, ...]]] = set()
+
+    @property
+    def stats(self) -> CleaningStats:
+        """Cleaning counters of every row ingested so far."""
+        return self._cleaner.stats()
 
     def ingest_chunk(self, chunk: Iterable[CaseReport]) -> None:
         """Clean and encode one chunk of raw rows."""
         registry = get_registry()
-        stats = self.stats
         self.n_chunks += 1
         with registry.timer("ingest.clean"):
-            cleaned: list[tuple[CaseReport, set[str], set[str]]] = []
-            for report in chunk:
-                stats.rows_in += 1
-                drugs = clean_terms(
-                    report.drugs, normalize_drug_name, self._drug_corrector, stats, "drug"
-                )
-                adrs = clean_terms(
-                    report.adrs, normalize_adr_term, self._adr_corrector, stats, "adr"
-                )
-                if not drugs or not adrs:
-                    stats.empty_reports_dropped += 1
-                    continue
-                cleaned.append((report, drugs, adrs))
+            delta = self._cleaner.ingest(chunk)
+        if self._stale:
+            return
         with registry.timer("ingest.encode"):
-            for report, drugs, adrs in cleaned:
-                self._encode_one(report, drugs, adrs)
-
-    def _encode_one(self, report: CaseReport, drugs: set[str], adrs: set[str]) -> None:
-        stats = self.stats
-        existing_tid = self._tid_by_case.get(report.case_id)
-        if existing_tid is not None:
-            # Follow-up version: union-merge into the case's row in
-            # place, exactly as the one-shot pass merges case versions.
-            stats.cases_merged += 1
-            self._register_drugs(drugs)
-            row = set(self.database[existing_tid])
-            row.update(self.catalog.add(drug, DRUG_KIND) for drug in sorted(drugs))
-            for adr in sorted(adrs):
-                row.add(self._encode_adr(adr))
-            self.database.update_row(existing_tid, row)
-            return
-
-        # First sight of this case: the duplicate drop decides on the
-        # cleaned content now (see the module docstring for the one
-        # divergence this implies under later follow-up merges).
-        signature = (tuple(sorted(drugs)), tuple(sorted(adrs)))
-        if signature in self._seen_signatures:
-            stats.exact_duplicates_dropped += 1
-            return
-        self._seen_signatures.add(signature)
-
-        self._register_drugs(drugs)
-        # Sorted iteration matches the tuple order of ``CaseReport.build``
-        # (and therefore the one-shot encoder's id-assignment order).
-        row = {self.catalog.add(drug, DRUG_KIND) for drug in sorted(drugs)}
-        for adr in sorted(adrs):
-            row.add(self._encode_adr(adr))
-        tid = self.database.append_row(row)
-        self._tid_by_case[report.case_id] = tid
-        self.case_ids.append(report.case_id)
-        stats.reports_out += 1
-        if self._keep_reports:
-            self.reports.append(
-                CaseReport.build(
-                    report.case_id,
-                    drugs,
-                    adrs,
-                    report_type=report.report_type,
-                    quarter=report.quarter,
-                    age=report.age,
-                    sex=report.sex,
-                    country=report.country,
-                    event_date=report.event_date,
-                )
-            )
-
-    def _register_drugs(self, drugs: set[str]) -> None:
-        """Admit new drug labels, repairing ADR collisions in place."""
-        for drug in sorted(drugs):
-            if drug in self._drug_labels:
-                continue
-            self._drug_labels.add(drug)
-            item = self._unsuffixed_adr_item.pop(drug, None)
-            if item is not None:
-                # The one-shot encoder, seeing all drugs up front, would
-                # have suffixed this ADR from row one; renaming keeps the
-                # id (first-seen order is unchanged) and restores
-                # byte-identity without touching any row.
-                self.catalog.rename_label(item, drug + _COLLISION_SUFFIX)
-
-    def _encode_adr(self, adr: str) -> int:
-        if adr in self._drug_labels:
-            return self.catalog.add(adr + _COLLISION_SUFFIX, ADR_KIND)
-        item = self.catalog.add(adr, ADR_KIND)
-        self._unsuffixed_adr_item.setdefault(adr, item)
-        return item
+            if delta.needs_rebuild or self._encoder.rebuild_reason(delta):
+                self._stale = True
+            else:
+                self._encoder.apply(delta)
 
     def finish(self) -> StreamedIngest:
         """Freeze the accumulated state into a :class:`StreamedIngest`."""
         registry = get_registry()
+        if self._stale:
+            with registry.timer("ingest.encode"):
+                self._encoder.rebuild(self._cleaner.kept_reports())
+            self._stale = False
+        stats = self.stats
         if registry.enabled:
-            registry.counter("ingest.rows_in").inc(self.stats.rows_in)
-            registry.counter("ingest.reports_out").inc(self.stats.reports_out)
+            registry.counter("ingest.rows_in").inc(stats.rows_in)
+            registry.counter("ingest.reports_out").inc(stats.reports_out)
             registry.counter("ingest.chunks").inc(self.n_chunks)
+        reports = self._encoder.row_reports
         return StreamedIngest(
-            database=self.database,
-            case_ids=self.case_ids,
-            cleaning_stats=self.stats,
+            database=self._encoder.database,
+            case_ids=[report.case_id for report in reports],
+            reports=reports,
+            cleaning_stats=stats,
             n_chunks=self.n_chunks,
-            reports=self.reports,
         )
 
 
@@ -265,7 +151,6 @@ def encode_stream(
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     drug_vocabulary: Iterable[str] | None = None,
     adr_vocabulary: Iterable[str] | None = None,
-    keep_reports: bool = False,
 ) -> StreamedIngest:
     """Clean + encode a report stream in bounded-memory chunks.
 
@@ -275,9 +160,7 @@ def encode_stream(
     identically) or a one-shot generator (never materialized).
     """
     encoder = StreamEncoder(
-        drug_vocabulary=drug_vocabulary,
-        adr_vocabulary=adr_vocabulary,
-        keep_reports=keep_reports,
+        drug_vocabulary=drug_vocabulary, adr_vocabulary=adr_vocabulary
     )
     for chunk in iter_chunks(reports, chunk_size):
         encoder.ingest_chunk(chunk)

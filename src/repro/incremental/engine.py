@@ -5,13 +5,13 @@ surveillance stream and turns each ingested batch into a full
 :class:`~repro.core.pipeline.MarasResult` at a cost proportional to the
 *delta*, not the history:
 
-1. **Incremental cleaning** — the per-case merge state lives in an
-   :class:`~repro.incremental.cleaning.IncrementalCleaner`; only the
-   batch's rows are normalized (optionally in a process pool that
-   shards the *delta*), and the cleaner reports exactly which kept
-   cases appeared or changed.
+1. **Incremental cleaning** — the per-case merge state lives in the
+   cleaning fold, :class:`~repro.faers.cleaning.IncrementalCleaner`
+   (the same fold ``ReportCleaner.clean`` runs once over a whole
+   input); only the batch's rows are normalized, and the fold reports
+   exactly which kept cases appeared or changed.
 2. **Append-only encoding** — the
-   :class:`~repro.incremental.encoding.IncrementalEncoder` grows the
+   :class:`~repro.faers.dataset.IncrementalEncoder` grows the
    item catalog and the per-item bitmask tidsets in place: appended
    cases set new bits at the top, a follow-up version invalidates one
    row's bits.
@@ -58,15 +58,15 @@ from repro.core.association import (
 from repro.core.context import MCAC, build_cluster
 from repro.core.pipeline import MarasConfig, MarasResult
 from repro.errors import ConfigError, StoreError
+from repro.faers.cleaning import CleaningDelta, IncrementalCleaner
 from repro.faers.dataset import (
     ADR_KIND,
     DRUG_KIND,
     EncodedDataset,
+    IncrementalEncoder,
     ReportDataset,
 )
 from repro.faers.schema import CaseReport
-from repro.incremental.cleaning import CleaningDelta, IncrementalCleaner
-from repro.incremental.encoding import IncrementalEncoder
 from repro.incremental.mining import carry_closed_itemsets
 from repro.mining.bitsets import BitsetIndex, SupportOracle
 from repro.mining.fpclose import fpclose
@@ -79,14 +79,9 @@ from repro.mining.transactions import (
     resolve_min_support,
 )
 from repro.obs import NULL_REGISTRY, use_registry
-from repro.parallel.cleaning import normalize_batch
 from repro.parallel.miner import fpclose_sharded, resolve_workers
 from repro.parallel.pool import MiningPool
 from repro.parallel.sharding import plan_shards
-
-# Below this batch size the process-pool round trip costs more than the
-# regex normalization it parallelizes.
-PARALLEL_MIN_ROWS = 256
 
 # (rule, association, cluster) of one closed itemset; any slot may be
 # None when the itemset yields no drug→ADR rule / no multi-drug rule.
@@ -132,7 +127,7 @@ class IncrementalEngine:
     # -- lifecycle -----------------------------------------------------
 
     def close(self) -> None:
-        """Shut down the mining/normalization pool (idempotent)."""
+        """Shut down the mining pool (idempotent)."""
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
@@ -156,7 +151,7 @@ class IncrementalEngine:
         Deliberately minimal: the encoder (catalog + growable bitmask
         database) is *derived* state — the in-place-maintenance
         invariant guarantees it equals a fresh
-        :meth:`~repro.incremental.encoding.IncrementalEncoder.rebuild`
+        :meth:`~repro.faers.dataset.IncrementalEncoder.rebuild`
         over the kept reports, so only the cleaner's merge state (or
         the raw kept rows in no-clean mode) and the carried closed set
         persist. The support oracle, per-itemset artifacts and the
@@ -289,16 +284,10 @@ class IncrementalEngine:
                     self._seen_case_ids.add(report.case_id)
                     fresh.append(report)
             return CleaningDelta(appended=fresh, n_new_cases=len(fresh))
-        normalized = None
-        n_workers = resolve_workers(self.config.n_workers)
-        if n_workers > 1 and len(rows) >= PARALLEL_MIN_ROWS:
-            normalized = normalize_batch(
-                rows, self._ensure_pool(n_workers), n_workers
-            )
-        return self._cleaner.ingest(rows, normalized=normalized)
+        return self._cleaner.ingest(rows)
 
     def _ensure_pool(self, n_workers: int) -> MiningPool:
-        """The engine's long-lived pool, shared by cleaning and mining.
+        """The engine's long-lived mining pool.
 
         A :class:`~repro.parallel.pool.MiningPool`, so batches reuse
         the same worker processes instead of spawning a pool each time.
@@ -390,7 +379,8 @@ class IncrementalEngine:
         database = self._encoder.database
         threshold = resolve_min_support(config.min_support, len(database))
 
-        if effect.touched_mask == 0:
+        touched_mask = effect.touched_mask
+        if touched_mask == 0:
             # Metadata-only delta (e.g. a follow-up that changed an
             # event date but no drug/ADR sets): the mining state is
             # untouched, everything carries.
@@ -435,14 +425,14 @@ class IncrementalEngine:
                     n_workers=n_workers,
                     plan=plan_shards(dataset, n_workers, config.shard_strategy),
                     pool=self._ensure_pool(n_workers),
-                    touched_mask=effect.touched_mask,
+                    touched_mask=touched_mask,
                 )
             else:
                 mined = fpclose(
                     database,
                     threshold,
                     max_len=config.max_itemset_len,
-                    touched_mask=effect.touched_mask,
+                    touched_mask=touched_mask,
                 )
             closed = canonical_itemset_order(carried + mined)
         registry.counter("incremental.closed_carried").inc(len(carried))
@@ -600,11 +590,10 @@ class IncrementalEngine:
         dataset = ReportDataset.from_cleaned(
             tuple(self._encoder.row_reports), self._encoder.quarter()
         )
-        encoded = EncodedDataset.from_parts(
+        encoded = EncodedDataset(
             database,
-            tuple(self._encoder.row_case_ids),
+            tuple(report.case_id for report in dataset.reports),
             dataset.reports,
-            dict(self._encoder.report_by_case),
         )
         self._result = MarasResult(
             config=config,

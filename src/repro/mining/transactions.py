@@ -101,14 +101,14 @@ class ItemCatalog:
     def rename_label(self, item_id: int, new_label: str) -> None:
         """Re-label an existing item in place, keeping its id and kind.
 
-        The streaming encoder's collision repair
-        (:mod:`repro.faers.ingest`) uses this: when a drug label arrives
-        that collides with an already-encoded *unsuffixed* ADR label,
-        the one-shot encoding — which sees all drugs before encoding any
-        row — would have suffixed that ADR from the start. Renaming the
-        ADR item restores byte-identity without re-encoding history
-        (ids are first-seen-row ordered, and the rename does not change
-        which row first contained the item). Renaming *to* an existing
+        The encoder's collision policy
+        (:class:`~repro.faers.dataset.IncrementalEncoder`) uses this:
+        when a drug label arrives that collides with an already-encoded
+        *unsuffixed* ADR label, renaming the ADR item to its suffixed
+        label gives the catalog an encoder that knew every drug up front
+        would have built, without re-encoding history (ids are
+        first-seen-row ordered, and the rename does not change which row
+        first contained the item). Renaming *to* an existing
         label raises :class:`~repro.errors.MiningError`: two items may
         never share one label.
         """

@@ -59,7 +59,7 @@ from repro.parallel.worker import local_threshold, mine_shard
 
 #: Hard ceiling on a worker request. The process count is capped at the
 #: core count anyway; values beyond this are configuration mistakes
-#: (they would explode the shard plan and the cleaning pool), reported
+#: (they would explode the shard plan and the pool), reported
 #: as a one-line ConfigError instead of an absurd fork storm.
 MAX_WORKERS = 512
 

@@ -184,20 +184,6 @@ class MiningPool:
         future.generation = self.generation
         return future
 
-    def map(self, fn, iterable, chunksize: int = 1):
-        """``executor.map`` with one rebuild-and-retry on a broken pool.
-
-        This is the :func:`repro.parallel.cleaning.normalize_batch`
-        interface, so the incremental engine can share one pool between
-        cleaning and mining.
-        """
-        items = list(iterable)
-        try:
-            return list(self.executor.map(fn, items, chunksize=chunksize))
-        except BrokenProcessPool:
-            self.recover(self.generation)
-            return list(self.executor.map(fn, items, chunksize=chunksize))
-
     def wait_event(self, events, timeout: float | None = None):
         """Block for the next completion event (overridden by stubs)."""
         return events.get(timeout=timeout)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.errors import ConfigError
@@ -33,6 +35,16 @@ class TestReportDataset:
         ]
         with pytest.raises(ConfigError, match="duplicate case ids"):
             ReportDataset(reports)
+
+    def test_duplicate_case_id_check_is_linear(self):
+        reports = [
+            CaseReport.build(f"c{i}", ["A"], ["X"]) for i in range(50_000)
+        ]
+        reports.append(CaseReport.build("c31337", ["B"], ["Y"]))
+        start = time.perf_counter()
+        with pytest.raises(ConfigError, match=r"\['c31337'\]"):
+            ReportDataset(reports)
+        assert time.perf_counter() - start < 2.0
 
     def test_quarter_inferred_when_uniform(self):
         assert ReportDataset(make_reports()).quarter == "2014Q1"

@@ -217,13 +217,59 @@ def test_encode_stream_follow_up_merges_in_place():
     assert result.cleaning_stats.cases_merged == 1
 
 
-def test_encode_stream_keep_reports_matches_cleaner():
+def test_encode_stream_reports_match_cleaner():
     generator = SyntheticFAERSGenerator(small_config(13, n_reports=300))
     cleaned, _ = ReportCleaner().clean(generator.generate())
-    result = encode_stream(generator.iter_reports(), chunk_size=64, keep_reports=True)
+    result = encode_stream(generator.iter_reports(), chunk_size=64)
     assert result.reports == cleaned
-    # Default leaves reports empty — that's the memory contract.
-    assert encode_stream(generator.iter_reports()).reports == []
+
+
+def _row(case_id, drugs, adrs):
+    return CaseReport.build(case_id, drugs, adrs, quarter="2014Q1")
+
+
+FOLLOW_UP_STREAMS = {
+    # (i) a follow-up makes a case an exact duplicate of an earlier case
+    "merge-into-duplicate": [
+        _row("a", ["D1"], ["R1", "R2"]),
+        _row("b", ["D1"], ["R1"]),
+        _row("c", ["D2"], ["R3"]),
+        _row("b", ["D1"], ["R2"]),
+    ],
+    # (i) ...and the converse: a first-sight duplicate made distinct
+    "merge-out-of-duplicate": [
+        _row("a", ["D1"], ["R1"]),
+        _row("b", ["D1"], ["R1"]),
+        _row("c", ["D3"], ["R3"]),
+        _row("b", ["D2"], ["R1"]),
+    ],
+    # (ii) a follow-up adds to an early row an item first seen later
+    "back-fill-later-item": [
+        _row("a", ["D1"], ["R1"]),
+        _row("b", ["D2"], ["R2"]),
+        _row("a", ["D2"], ["R1"]),
+    ],
+    # (ii) ...or an item no row has carried yet
+    "back-fill-new-item": [
+        _row("a", ["D1"], ["R1"]),
+        _row("b", ["D2"], ["R2"]),
+        _row("a", ["D3"], ["R4"]),
+        _row("c", ["D3"], ["R1"]),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOLLOW_UP_STREAMS))
+def test_encode_stream_follow_ups_match_one_shot(name):
+    """Follow-up versions the in-place encoding cannot absorb still give
+    exactly the one-shot clean → encode result, at any chunking."""
+    rows = FOLLOW_UP_STREAMS[name]
+    encoded, stats = one_shot(rows)
+    cleaned, _ = ReportCleaner().clean(rows)
+    for chunk_size in (1, 2, len(rows)):
+        result = encode_stream(iter(rows), chunk_size=chunk_size)
+        assert_equivalent(result, encoded, stats)
+        assert result.reports == cleaned
 
 
 def test_iter_chunks_shapes():

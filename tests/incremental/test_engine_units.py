@@ -181,12 +181,6 @@ class TestIncrementalCleaner:
         assert incremental.kept_reports() == one_shot_rows
         assert incremental.stats() == one_shot_stats
 
-    def test_normalized_rows_rejected_with_vocabularies(self):
-        cleaner = IncrementalCleaner(drug_vocabulary=["ASPIRIN"])
-        row = CaseReport.build("c1", ["ASPIRIN"], ["NAUSEA"])
-        with pytest.raises(ConfigError, match="vocabul"):
-            cleaner.ingest([row], normalized=[(frozenset(), frozenset())])
-
     def test_signature_flip_requests_rebuild(self):
         cleaner = IncrementalCleaner()
         cleaner.ingest(
@@ -226,12 +220,33 @@ class TestEncoderRebuildTriggers:
         )
         return encoder
 
-    def test_drug_label_colliding_with_encoded_adr(self):
+    def test_drug_label_colliding_with_encoded_adr_applies_in_place(self):
+        """A new drug equal to an encoded ADR renames the ADR item in place.
+
+        The in-place result must be the encoding a rebuild over the kept
+        reports produces: same catalog (labels, kinds, ids), rows and
+        masks.
+        """
         encoder = self._seeded_encoder()
-        delta = CleaningDelta(
-            appended=[CaseReport.build("c3", ["NAUSEA"], ["RASH"])]
-        )
-        assert "collides" in encoder.rebuild_reason(delta)
+        appended = [
+            CaseReport.build("c3", ["NAUSEA"], ["RASH"]),
+            CaseReport.build("c4", ["ASPIRIN"], ["NAUSEA"]),
+        ]
+        delta = CleaningDelta(appended=appended)
+        assert encoder.rebuild_reason(delta) is None
+        effect = encoder.apply(delta)
+        assert effect.appended_tids == [2, 3]
+
+        rebuilt = IncrementalEncoder()
+        rebuilt.rebuild(encoder.row_reports)
+        assert list(encoder.catalog) == list(rebuilt.catalog)
+        assert [encoder.catalog.kind_of(i) for i in range(len(encoder.catalog))] == [
+            rebuilt.catalog.kind_of(i) for i in range(len(rebuilt.catalog))
+        ]
+        assert list(encoder.database) == list(rebuilt.database)
+        assert encoder.database.item_masks() == rebuilt.database.item_masks()
+        assert "NAUSEA (REACTION)" in encoder.catalog
+        assert encoder.catalog.kind_of(encoder.catalog.id("NAUSEA")) == "drug"
 
     def test_follow_up_adding_new_catalog_item(self):
         encoder = self._seeded_encoder()

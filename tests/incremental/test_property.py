@@ -20,8 +20,10 @@ from tests.incremental.streams import export_bytes
 
 from repro.faers.schema import CaseReport
 
-DRUGS = ["ASPIRIN", "WARFARIN", "NEXIUM", "IBUPROFEN", "METFORMIN"]
-ADRS = ["NAUSEA", "HAEMORRHAGE", "RASH", "DIZZINESS"]
+# "PAIN" is in both pools, so examples reach the drug/ADR label
+# collision (the reaction item is suffixed " (REACTION)").
+DRUGS = ["ASPIRIN", "WARFARIN", "NEXIUM", "IBUPROFEN", "METFORMIN", "PAIN"]
+ADRS = ["NAUSEA", "HAEMORRHAGE", "RASH", "DIZZINESS", "PAIN"]
 
 report_strategy = st.builds(
     lambda case, drugs, adrs: CaseReport.build(
