@@ -46,6 +46,7 @@ from repro.faers import (
     quarter_config,
 )
 from repro.faers.schema import ReportType
+from repro.faers.writer import quarter_of_demo_file
 from repro.knowledge import default_reference, default_severity_index
 from repro.obs import NULL_REGISTRY, JsonlSink, MetricsRegistry, peak_rss_bytes, use_registry
 from repro.userstudy import UserStudy, build_questions
@@ -349,6 +350,7 @@ def load_dataset(args: argparse.Namespace) -> ReportDataset:
             args.demo,
             args.drug_file,
             args.reac,
+            quarter=quarter_of_demo_file(args.demo),
             report_types=frozenset({ReportType.EXPEDITED}),
         )
         if not args.no_clean:

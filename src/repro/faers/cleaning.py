@@ -21,6 +21,12 @@ Three layers:
   incremental surveillance engine feeds it batch by batch, so all three
   produce the same cleaned reports and :class:`CleaningStats` by
   construction.
+
+A case's first row becomes its report by direct construction from the
+memo's cleaned term sets, which are already normalized and non-empty,
+so only the scalar checks of :meth:`CaseReport.build` (case id, age
+range, ISO date) are applied to it; a merge of a later version goes
+through ``build``.
 """
 
 from __future__ import annotations
@@ -29,8 +35,8 @@ import re
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from repro.errors import ConfigError
-from repro.faers.schema import CaseReport
+from repro.errors import ConfigError, ValidationError
+from repro.faers.schema import CaseReport, validate_scalars
 from repro.obs import get_registry
 
 # Dose/strength/form tails frequently pasted into FAERS verbatim drug
@@ -243,11 +249,14 @@ class IncrementalCleaner:
             position = self._position.get(case_id)
             if position is None:
                 touched.setdefault(case_id, None)
+                # The memo's terms are already normalized and non-empty,
+                # so only the scalars need build()'s checks.
+                validate_scalars(case_id, report.age, report.event_date)
                 self._admit(
-                    CaseReport.build(
+                    CaseReport(
                         case_id,
-                        drugs,
-                        adrs,
+                        tuple(sorted(drugs)),
+                        tuple(sorted(adrs)),
                         report_type=report.report_type,
                         quarter=report.quarter,
                         age=report.age,
@@ -415,7 +424,11 @@ def _clean_side(
     normalizer,
     corrector: SpellingCorrector | None,
 ) -> tuple[set[str], int]:
-    """Canonical terms of one side of one row, and how many were corrected."""
+    """Canonical terms of one side of one row, and how many were corrected.
+
+    Every returned term is stripped and non-empty, so a report can be
+    constructed from them without :meth:`CaseReport.build`'s term checks.
+    """
     cleaned: set[str] = set()
     n_corrected = 0
     for verbatim in verbatims:
@@ -426,7 +439,11 @@ def _clean_side(
             if term and corrector is not None:
                 fixed = corrector.correct(term)
                 corrected = fixed != term
-                term = fixed
+                # A vocabulary term becomes a report term as is, so it
+                # gets the checks CaseReport.build gives a term.
+                term = fixed.strip()
+                if not term:
+                    raise ValidationError(f"invalid vocabulary term {fixed!r}")
             hit = memo[verbatim] = (term, corrected)
         term, corrected = hit
         if term:

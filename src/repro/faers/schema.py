@@ -11,6 +11,7 @@ system consumes.
 
 from __future__ import annotations
 
+import datetime
 import enum
 from dataclasses import dataclass
 
@@ -119,10 +120,7 @@ class CaseReport:
                 f"case {case_id}: report needs at least one drug and one ADR "
                 f"(got {len(drug_set)} drugs, {len(adr_set)} ADRs)"
             )
-        if age is not None and not 0 <= age <= 150:
-            raise ValidationError(f"case {case_id}: implausible age {age}")
-        if event_date is not None:
-            _validate_iso_date(case_id, event_date)
+        validate_scalars(case_id, age, event_date)
         return cls(
             case_id=case_id,
             drugs=drug_set,
@@ -182,15 +180,24 @@ class CaseReport:
         )
 
 
-def _validate_iso_date(case_id: str, value: str) -> None:
-    import datetime
+def validate_scalars(case_id: str, age: float | None, event_date: str | None) -> None:
+    """The checks :meth:`CaseReport.build` applies to a report's scalars.
 
-    try:
-        datetime.date.fromisoformat(value)
-    except ValueError:
-        raise ValidationError(
-            f"case {case_id}: event_date must be ISO YYYY-MM-DD, got {value!r}"
-        ) from None
+    A non-empty case id, an age in [0, 150] if given, and an ISO
+    ``YYYY-MM-DD`` event date if given; raises
+    :class:`~repro.errors.ValidationError` otherwise.
+    """
+    if not case_id:
+        raise ValidationError("case_id must be non-empty")
+    if age is not None and not 0 <= age <= 150:
+        raise ValidationError(f"case {case_id}: implausible age {age}")
+    if event_date is not None:
+        try:
+            datetime.date.fromisoformat(event_date)
+        except ValueError:
+            raise ValidationError(
+                f"case {case_id}: event_date must be ISO YYYY-MM-DD, got {event_date!r}"
+            ) from None
 
 
 def _canonical_terms(terms: object, side: str) -> tuple[str, ...]:

@@ -10,12 +10,15 @@ consumes the real format.
 from __future__ import annotations
 
 import os
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import ConfigError
 from repro.faers.schema import CaseReport
+
+_DEMO_FILE_NAME = re.compile(r"DEMO(\d\d)Q([1-4])\.TXT")
 
 _REPORT_CODES = {
     "EXPEDITED": "EXP",
@@ -42,6 +45,17 @@ def quarter_file_names(quarter: str) -> tuple[str, str, str]:
         raise ConfigError(f"quarter must look like 2014Q1, got {quarter!r}")
     suffix = quarter[2:4] + quarter[4:]
     return (f"DEMO{suffix}.txt", f"DRUG{suffix}.txt", f"REAC{suffix}.txt")
+
+
+def quarter_of_demo_file(path: str | os.PathLike[str]) -> str:
+    """The quarter a DEMO file's name carries, e.g. DEMO14Q1.txt → 2014Q1.
+
+    The inverse of :func:`quarter_file_names` for the DEMO file, also
+    accepting the upper-case ``.TXT`` of older extracts; ``""`` when
+    the name has another form.
+    """
+    match = _DEMO_FILE_NAME.fullmatch(Path(path).name.upper())
+    return f"20{match[1]}Q{match[2]}" if match else ""
 
 
 def write_quarter_files(

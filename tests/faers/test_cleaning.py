@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ValidationError
 from repro.faers.cleaning import (
+    IncrementalCleaner,
     ReportCleaner,
     SpellingCorrector,
     _edit_distance_at_most_one,
@@ -176,3 +177,66 @@ class TestReportCleaner:
         assert stats.reports_out == len(cleaned) == 1
         assert stats.cases_merged == 1
         assert stats.exact_duplicates_dropped == 1
+
+
+class TestFirstSeenConstruction:
+    """A first-seen row becomes a report built directly from its cleaned
+    terms, with the checks :meth:`CaseReport.build` would apply."""
+
+    @pytest.mark.parametrize(
+        "drugs, adrs",
+        [
+            (("ASPIRIN", "WARFARIN"), ("PAIN",)),  # already canonical
+            (("aspirin 81 mg",), ("pain",)),  # cleaning changes terms
+            (("WARFARIN", "ASPIRIN"), ("PAIN",)),  # not sorted
+            (("ASPIRIN", "ASPIRIN"), ("PAIN",)),  # not unique
+        ],
+    )
+    def test_kept_report_equals_build_of_the_cleaned_terms(self, drugs, adrs):
+        report = CaseReport("c1", drugs, adrs, age=40.0, event_date="2014-01-02")
+        (kept,) = ReportCleaner().clean([report])[0]
+        assert type(kept) is CaseReport
+        assert kept == CaseReport.build(
+            "c1",
+            {normalize_drug_name(d) for d in drugs},
+            {a.upper() for a in adrs},
+            age=40.0,
+            event_date="2014-01-02",
+        )
+
+    def test_kept_terms_are_the_memo_strings(self):
+        # Equal strings, distinct objects, as a parser produces them.
+        first = CaseReport("c1", ("".join(["ASP", "IRIN"]),), ("".join(["PA", "IN"]),))
+        second = CaseReport("c2", ("".join(["ASPI", "RIN"]),), ("".join(["P", "AIN"]), "RASH"))
+        assert first.drugs[0] is not second.drugs[0]
+        fold = IncrementalCleaner()
+        fold.ingest([first, second])
+        one, two = fold.kept_reports()
+        assert one.drugs[0] is two.drugs[0]
+        assert one.adrs[0] is two.adrs[0]
+
+    def test_padded_vocabulary_term_is_stripped(self):
+        cleaner = ReportCleaner(drug_vocabulary=[" ASPIRIN"])
+        (kept,), stats = cleaner.clean([CaseReport("c1", ("ASPIRIN",), ("PAIN",))])
+        assert kept.drugs == ("ASPIRIN",)
+        assert stats.drug_names_corrected == 1
+
+    def test_blank_vocabulary_term_is_rejected(self):
+        cleaner = ReportCleaner(drug_vocabulary=[" "])
+        with pytest.raises(ValidationError, match="vocabulary term"):
+            cleaner.clean([CaseReport("c1", ("A",), ("PAIN",))])
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"case_id": ""}, "case_id"),
+            ({"age": 200.0}, "implausible age"),
+            ({"event_date": "2014-13-01"}, "ISO"),
+        ],
+    )
+    def test_scalar_checks_still_apply(self, fields, message):
+        report = CaseReport(
+            **{"case_id": "c1", "drugs": ("ASPIRIN",), "adrs": ("PAIN",), **fields}
+        )
+        with pytest.raises(ValidationError, match=message):
+            IncrementalCleaner().ingest([report])

@@ -6,7 +6,8 @@ import pytest
 
 from repro.errors import ParseError
 from repro.faers.parser import parse_quarter, read_delimited
-from repro.faers.schema import ReportType
+from repro.faers.schema import CaseReport, ReportType
+from repro.obs import MetricsRegistry, use_registry
 
 
 def write(path, lines):
@@ -164,6 +165,46 @@ class TestParseQuarter:
         reports, _ = parse_quarter(demo, drug, reac)
         assert len(reports) == 1
         assert reports[0].sex == "M"
+
+    def test_parse_is_timed(self, modern_quarter):
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            parse_quarter(*modern_quarter)
+        snapshot = registry.snapshot()
+        assert [t.calls for t in snapshot.timers if t.name == "faers.parse"] == [1]
+        assert snapshot.counters["faers.parse.reports"] == 3
+
+    def test_missing_optional_columns_read_as_empty(self, tmp_path):
+        demo = write(tmp_path / "DEMO.txt", ["primaryid", "1"])
+        drug = write(tmp_path / "DRUG.txt", ["primaryid$drugname", "1$A"])
+        reac = write(tmp_path / "REAC.txt", ["primaryid$pt", "1$X"])
+        (report,), _ = parse_quarter(demo, drug, reac)
+        assert report == CaseReport.build("1", ["A"], ["X"])
+
+    def test_older_demo_column_names(self, tmp_path):
+        demo = write(
+            tmp_path / "DEMO.txt",
+            ["primaryid$gndr_cod$reporter_country", "1$F$FR"],
+        )
+        drug = write(tmp_path / "DRUG.txt", ["primaryid$drugname", "1$A"])
+        reac = write(tmp_path / "REAC.txt", ["primaryid$pt", "1$X"])
+        (report,), _ = parse_quarter(demo, drug, reac)
+        assert (report.sex, report.country) == ("F", "FR")
+
+    def test_primaryid_falls_back_to_isr_per_row(self, tmp_path):
+        demo = write(tmp_path / "DEMO.txt", ["primaryid$isr", "$77", "5$78"])
+        drug = write(tmp_path / "DRUG.txt", ["isr$drugname", "77$A", "5$B"])
+        reac = write(tmp_path / "REAC.txt", ["primaryid$pt", "77$X", "5$Y"])
+        reports, _ = parse_quarter(demo, drug, reac)
+        assert [r.case_id for r in reports] == ["77", "5"]
+
+    def test_row_without_a_key_names_its_line(self, tmp_path):
+        demo = write(tmp_path / "DEMO.txt", ["primaryid$isr", "1$1", "$"])
+        drug = write(tmp_path / "DRUG.txt", ["primaryid$drugname", "1$A"])
+        reac = write(tmp_path / "REAC.txt", ["primaryid$pt", "1$X"])
+        with pytest.raises(ParseError, match="no case key") as excinfo:
+            parse_quarter(demo, drug, reac)
+        assert excinfo.value.line_number == 3
 
     def test_unparseable_age_is_none(self, tmp_path):
         demo = write(

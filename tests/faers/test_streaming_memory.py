@@ -15,7 +15,12 @@ from __future__ import annotations
 
 import tracemalloc
 
-from repro.faers import SyntheticConfig, SyntheticFAERSGenerator
+from repro.faers import (
+    SyntheticConfig,
+    SyntheticFAERSGenerator,
+    iter_quarter,
+    write_quarter_files,
+)
 from repro.faers.ingest import StreamEncoder, iter_chunks
 
 N_REPORTS = 200_000
@@ -94,4 +99,37 @@ def test_canary_materialized_stream_trips_the_measurement():
     assert transient > TRANSIENT_LIMIT, (
         "a fully materialized 200k stream stayed under the transient "
         "bound — the bound is too loose to catch regressions"
+    )
+
+
+def test_parser_sheds_its_demo_index_while_feeding_the_encoder(tmp_path):
+    """``iter_quarter`` → encoder peaks near the larger of the two, not the sum.
+
+    The parser must hold every DEMO row until the DRUG and REAC files
+    are read, but releases each case's row as it is emitted, so the
+    index shrinks while the encoder's retained state grows. A parser
+    that kept its DEMO rows to the end of the stream would add them
+    (~350 bytes per case) to the transient number.
+    """
+    n_reports = 20_000
+    reports = list(SyntheticFAERSGenerator(capacity_config(n_reports)).iter_reports())
+    files = write_quarter_files(reports, tmp_path, quarter="2014Q1").as_tuple()
+    del reports
+
+    tracemalloc.start()
+    try:
+        for _ in iter_quarter(*files):
+            pass
+        _, index_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+    transient, kept = transient_bytes(iter_quarter(*files))
+    assert kept > 0
+    # Measured on 20k reports: index peak ~30 MiB, transient ~1.5 MiB;
+    # DEMO rows held to the end put the transient at ~8 MiB.
+    assert transient < index_peak / 8, (
+        f"{transient / 2**20:.1f} MiB transient against a "
+        f"{index_peak / 2**20:.1f} MiB parse index — the parser holds its "
+        f"DEMO rows until the stream ends"
     )

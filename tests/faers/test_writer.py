@@ -7,7 +7,11 @@ import pytest
 from repro.errors import ConfigError
 from repro.faers.parser import parse_quarter
 from repro.faers.schema import CaseReport, ReportType
-from repro.faers.writer import quarter_file_names, write_quarter_files
+from repro.faers.writer import (
+    quarter_file_names,
+    quarter_of_demo_file,
+    write_quarter_files,
+)
 
 
 def sample_reports():
@@ -43,6 +47,22 @@ class TestQuarterFileNames:
         for label in ("2014", "14Q1", "2014q1", "2014X1"):
             with pytest.raises(ConfigError):
                 quarter_file_names(label)
+
+
+class TestQuarterOfDemoFile:
+    @pytest.mark.parametrize("quarter", ["2014Q1", "2012Q4", "2004Q3"])
+    def test_inverts_the_canonical_names(self, tmp_path, quarter):
+        demo_name = quarter_file_names(quarter)[0]
+        assert quarter_of_demo_file(tmp_path / demo_name) == quarter
+
+    def test_legacy_upper_case_names(self):
+        assert quarter_of_demo_file("DEMO12Q1.TXT") == "2012Q1"
+
+    @pytest.mark.parametrize(
+        "name", ["demo.txt", "DRUG14Q1.txt", "DEMO14Q5.txt", "DEMO2014Q1.txt", "DEMO14Q1.csv"]
+    )
+    def test_other_names_carry_no_quarter(self, name):
+        assert quarter_of_demo_file(name) == ""
 
 
 class TestWriteQuarterFiles:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -75,6 +77,68 @@ class TestGenerateAndParseBack:
         )
         assert code == 0
         assert "reports:" in out
+
+    @staticmethod
+    def generate(capsys, directory):
+        code, _, _ = run(
+            capsys, "generate", "2014Q1", "--scale", "0.005", "--out", str(directory)
+        )
+        assert code == 0
+        return [
+            str(directory / name) for name in ("DEMO14Q1.txt", "DRUG14Q1.txt", "REAC14Q1.txt")
+        ]
+
+    def test_run_on_files_stamps_the_quarter_of_the_demo_name(self, capsys, tmp_path):
+        import json
+
+        demo, drug, reac = self.generate(capsys, tmp_path)
+        out_path = tmp_path / "r.json"
+        code, _, _ = run(
+            capsys, "run", "--demo", demo, "--drug-file", drug, "--reac", reac,
+            "--min-support", "4", "--out", str(out_path),
+        )
+        assert code == 0
+        assert json.loads(out_path.read_text())["quarter"] == "2014Q1"
+        code, out, _ = run(
+            capsys, "stats", "--demo", demo, "--drug-file", drug, "--reac", reac
+        )
+        assert "quarter:  2014Q1" in out
+
+    def test_watch_on_files_names_the_stored_run_after_the_quarter(
+        self, capsys, tmp_path
+    ):
+        # The default run name is the quarter label when there is one,
+        # as for --synthetic input; "watch" only for unlabelled files.
+        from repro.store import open_backend
+
+        demo, drug, reac = self.generate(capsys, tmp_path)
+        store = f"sqlite://{tmp_path / 'store.db'}"
+        code, _, _ = run(
+            capsys, "watch", "--demo", demo, "--drug-file", drug, "--reac", reac,
+            "--min-support", "4", "--batches", "2", "--store", store,
+        )
+        assert code == 0
+        assert open_backend(store).run_names() == ["2014Q1"]
+
+    def test_unrecognized_demo_name_leaves_the_quarter_unlabelled(self, capsys, tmp_path):
+        demo, drug, reac = self.generate(capsys, tmp_path)
+        renamed = tmp_path / "demo_extract.txt"
+        Path(demo).rename(renamed)
+        code, out, _ = run(
+            capsys, "stats", "--demo", str(renamed), "--drug-file", drug, "--reac", reac
+        )
+        assert code == 0
+        assert "quarter:  (unlabelled)" in out
+
+    def test_profile_times_the_parse(self, capsys, tmp_path):
+        demo, drug, reac = self.generate(capsys, tmp_path)
+        code, _, err = run(
+            capsys, "--profile", "mine", "--demo", demo, "--drug-file", drug,
+            "--reac", reac, "--min-support", "4", "--top", "1",
+        )
+        assert code == 0
+        timings = err.split("counters")[0]  # the span table, not the counters
+        assert "faers.parse " in timings and "faers.clean " in timings
 
 
 class TestMine:
