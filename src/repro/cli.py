@@ -173,14 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run name in the store (default: the dataset's quarter)",
     )
     watch.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=1,
-        metavar="N",
-        help="commit a checkpoint every N batches (default 1; the final "
-        "batch always checkpoints)",
-    )
-    watch.add_argument(
         "--out",
         type=Path,
         default=None,
@@ -584,10 +576,6 @@ def cmd_watch(args: argparse.Namespace) -> int:
 
     if args.batches < 1:
         raise ConfigError(f"--batches must be >= 1, got {args.batches}")
-    if args.checkpoint_every < 1:
-        raise ConfigError(
-            f"--checkpoint-every must be >= 1, got {args.checkpoint_every}"
-        )
     if args.store and args.full_rescan:
         raise ConfigError(
             "--store checkpointing requires the incremental engine; "
@@ -641,7 +629,6 @@ def cmd_watch(args: argparse.Namespace) -> int:
     if monitor is None:
         monitor = SurveillanceMonitor(config, registry=registry)
     try:
-        pending = []
         for index in range(start_batch, len(batches)):
             delta = monitor.ingest(batches[index])
             line = (
@@ -664,22 +651,18 @@ def cmd_watch(args: argparse.Namespace) -> int:
                     line += f" [rebuild: {stats['rebuild_reason']}]"
             print(line, flush=True)
             if backend is not None:
-                pending.append(
-                    JournalEntry(
-                        index, [report.case_id for report in batches[index]]
-                    )
-                )
                 _watch_kill_hook("MEDIAR_WATCH_KILL_BEFORE_CHECKPOINT", index)
-                due = (index + 1 - start_batch) % args.checkpoint_every == 0
-                if due or index == len(batches) - 1:
-                    checkpoint_monitor(
-                        backend,
-                        run_name,
-                        monitor,
-                        fingerprint=fingerprint,
-                        journal=pending,
-                    )
-                    pending = []
+                checkpoint_monitor(
+                    backend,
+                    run_name,
+                    monitor,
+                    fingerprint=fingerprint,
+                    journal=[
+                        JournalEntry(
+                            index, [report.case_id for report in batches[index]]
+                        )
+                    ],
+                )
                 _watch_kill_hook("MEDIAR_WATCH_KILL_AFTER_CHECKPOINT", index)
         print(f"\ntop {args.top} after {monitor.n_batches} batches:")
         for key, rank in monitor.watchlist(top_k=args.top):

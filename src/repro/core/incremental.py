@@ -157,8 +157,14 @@ class SurveillanceMonitor:
         self._n_reports = 0
         # Case ids seen so far, live in *both* clean modes: the no-clean
         # path dedups against it, and both paths use it to report how
-        # many rows of a batch were genuinely new versus follow-ups.
+        # many rows of a batch were genuinely new versus follow-ups. The
+        # list keeps first-seen order, so a checkpoint delta is a slice.
         self._seen_case_ids: set[str] = set()
+        self._seen_order: list[str] = []
+        #: Id of the last checkpoint commit this monitor wrote or was
+        #: restored from (see :mod:`repro.store.checkpoint`).
+        self.checkpoint_id: str | None = None
+        self._n_seen_committed = 0
         self._batch_index = 0
         self._last_result: MarasResult | None = None
         self._last_ranks: dict[ClusterKey, int] = {}
@@ -246,7 +252,9 @@ class SurveillanceMonitor:
             # An uncleaned ReportDataset requires unique case ids, so
             # rows re-using a seen case id are dropped.
             kept = new_rows
-        self._seen_case_ids.update(r.case_id for r in new_rows)
+        fresh = dict.fromkeys(r.case_id for r in new_rows)
+        self._seen_case_ids.update(fresh)
+        self._seen_order.extend(fresh)
         if not kept and self._last_result is None:
             raise ConfigError("first batch contained no new reports")
         if self._engine is None:
@@ -337,26 +345,46 @@ class SurveillanceMonitor:
 
     # -- durable-store checkpoint support ------------------------------
 
-    def checkpoint_state(self) -> dict:
+    def checkpoint_state(self, *, delta: bool = False) -> dict:
         """The restorable stream state, for the durable store.
 
         Only available in incremental mode: the re-run-everything path
         would have to persist the entire raw history, which is exactly
         the cost model checkpointing exists to avoid. The returned dict
         still holds :class:`~repro.faers.schema.CaseReport` objects —
-        :mod:`repro.store.checkpoint` converts to and from JSON.
+        :mod:`repro.store.checkpoint` converts to and from JSON. The
+        engine's ``records`` (position → report) sit at the top level,
+        beside ``seen_case_ids``: they are the two parts that grow.
+
+        With ``delta``, ``seen_case_ids`` and ``records`` hold only
+        what was appended or updated since the last
+        :meth:`checkpoint_committed`.
         """
         if self._engine is None:
             raise StoreError(
                 "checkpoints require MarasConfig(incremental=True); the "
                 "full-rescan monitor carries no restorable delta state"
             )
+        engine = self._engine.checkpoint_state(delta=delta)
         return {
             "batch_index": self._batch_index,
             "n_reports": self._n_reports,
-            "seen_case_ids": sorted(self._seen_case_ids),
-            "engine": self._engine.checkpoint_state(),
+            "seen_case_ids": self._seen_order[
+                self._n_seen_committed if delta else 0 :
+            ],
+            "records": engine.pop("records"),
+            "engine": engine,
         }
+
+    def checkpoint_committed(self, commit_id: str) -> None:
+        """The last :meth:`checkpoint_state` is durable as ``commit_id``.
+
+        Call it once the store holds that state (after the commit, or
+        after a restore from it), before the next :meth:`ingest`.
+        """
+        self.checkpoint_id = commit_id
+        self._n_seen_committed = len(self._seen_order)
+        self._engine.checkpoint_committed()
 
     @classmethod
     def from_checkpoint_state(
@@ -387,13 +415,16 @@ class SurveillanceMonitor:
         )
         stale = monitor._engine
         monitor._engine = IncrementalEngine.from_state(
-            config, state["engine"], registry=monitor.registry
+            config,
+            {**state["engine"], "records": state["records"]},
+            registry=monitor.registry,
         )
         if stale is not None:
             stale.close()
         monitor._batch_index = int(state["batch_index"])
         monitor._n_reports = int(state["n_reports"])
-        monitor._seen_case_ids = set(state["seen_case_ids"])
+        monitor._seen_order = list(state["seen_case_ids"])
+        monitor._seen_case_ids = set(monitor._seen_order)
         result = monitor._engine.result
         assert result is not None  # from_state always recomputes it
         monitor._last_result = result

@@ -216,6 +216,10 @@ class IncrementalCleaner:
         # members of groups that have any: a singleton group costs no set.
         self._keeper: dict[Signature, int] = {}
         self._duplicates: dict[Signature, set[int]] = {}
+        # Positions whose merged report changed since track_updates();
+        # None until a checkpoint opens the window, so a fold no store
+        # watches records nothing.
+        self._updated: set[int] | None = None
         self._rows_in = 0
         self._cases_merged = 0
         self._empty_dropped = 0
@@ -283,6 +287,8 @@ class IncrementalCleaner:
             if merged == existing:
                 continue  # exact resubmission: nothing changed
             self._reports[position] = merged
+            if self._updated is not None:
+                self._updated.add(position)
             old_signature = existing.signature()
             new_signature = merged.signature()
             if new_signature != old_signature:
@@ -385,18 +391,18 @@ class IncrementalCleaner:
     # -- durable-store checkpoint support ------------------------------
 
     def merge_state(self) -> dict:
-        """The carried merge state, restorable by :meth:`from_merge_state`.
+        """The carried counters, restorable by :meth:`from_merge_state`.
 
+        The merged reports themselves are :meth:`merge_records`.
         Positions and signature groups are *derived* state — every
         merged report carries its own signature, and positions are the
-        list order — so only the merged reports (first-appearance order)
-        and the pure counters need persisting. Spelling correctors and
-        the memo are not captured: the incremental engine always runs
-        the cleaner without correctors, and correction counts are
-        carried as counters.
+        record order — so only the merged reports and the pure counters
+        need persisting. Spelling correctors and the memo are not
+        captured: the incremental engine always runs the cleaner
+        without correctors, and correction counts are carried as
+        counters.
         """
         return {
-            "reports": list(self._reports),
             "rows_in": self._rows_in,
             "cases_merged": self._cases_merged,
             "empty_dropped": self._empty_dropped,
@@ -404,11 +410,37 @@ class IncrementalCleaner:
             "adr_terms_corrected": self._adr_terms_corrected,
         }
 
+    def merge_records(self, since: int = 0) -> dict[int, CaseReport]:
+        """The merged report of each position, in position order.
+
+        With ``since`` > 0 — the number of positions a committed copy
+        held when :meth:`track_updates` was last called — only the
+        positions updated since then or appended after ``since`` are
+        returned.
+        """
+        records = (
+            {p: self._reports[p] for p in sorted(self._updated) if p < since}
+            if since
+            else {}
+        )
+        records.update(enumerate(self._reports[since:], since))
+        return records
+
+    def __len__(self) -> int:
+        """Positions held: one per case id, merge records and duplicates."""
+        return len(self._reports)
+
+    def track_updates(self) -> None:
+        """Start recording the positions a merge updates, from empty."""
+        self._updated = set()
+
     @classmethod
-    def from_merge_state(cls, state: dict) -> "IncrementalCleaner":
+    def from_merge_state(
+        cls, state: dict, reports: Iterable[CaseReport]
+    ) -> "IncrementalCleaner":
         """Rebuild a cleaner whose next :meth:`ingest` continues the fold."""
         cleaner = cls()
-        for report in state["reports"]:
+        for report in reports:
             cleaner._admit(report)
         cleaner._rows_in = int(state["rows_in"])
         cleaner._cases_merged = int(state["cases_merged"])

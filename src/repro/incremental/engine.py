@@ -119,6 +119,8 @@ class IncrementalEngine:
         self._n_rows_prev = 0
         self._result: MarasResult | None = None
         self._pool: MiningPool | None = None
+        # Records the last durable checkpoint held (see checkpoint_state).
+        self._n_records_committed = 0
         self.n_batches = 0
         #: Reuse/delta accounting of the most recent batch (also emitted
         #: as the ``incremental.batch`` event).
@@ -145,35 +147,46 @@ class IncrementalEngine:
 
     # -- durable-store checkpoint support ------------------------------
 
-    def checkpoint_state(self) -> dict:
+    def checkpoint_state(self, *, delta: bool = False) -> dict:
         """The carried stream state, restorable by :meth:`from_state`.
 
         Deliberately minimal: the encoder (catalog + growable bitmask
         database) is *derived* state — the in-place-maintenance
         invariant guarantees it equals a fresh
         :meth:`~repro.faers.dataset.IncrementalEncoder.rebuild`
-        over the kept reports, so only the cleaner's merge state (or
-        the raw kept rows in no-clean mode) and the carried closed set
-        persist. The support oracle, per-itemset artifacts and the
-        result are recomputed on restore; by the engine's own reuse
-        invariants those recomputations are byte-identical to the
-        values an uninterrupted process carries.
+        over the kept reports — and so is the closed set, which is
+        exactly what :func:`~repro.mining.fpclose.fpclose` mines from
+        that rebuild. Only the counters and the ``records`` persist: the
+        cleaner's merged reports, or the raw kept rows in no-clean
+        mode, by position. The closed set, support oracle, per-itemset
+        artifacts and the result are recomputed on restore.
+
+        With ``delta``, ``records`` holds only the positions appended or
+        updated since the last :meth:`checkpoint_committed`.
         """
         if self._result is None:
             raise StoreError("cannot checkpoint before the first batch")
+        since = self._n_records_committed if delta else 0
         state: dict = {
             "n_batches": self.n_batches,
             "clean": self._cleaner is not None,
             "n_rows": len(self._encoder.database),
-            "closed": [
-                [sorted(fi.items), fi.support] for fi in self._closed
-            ],
         }
         if self._cleaner is not None:
             state["cleaner"] = self._cleaner.merge_state()
+            state["records"] = self._cleaner.merge_records(since)
         else:
-            state["rows"] = list(self._encoder.row_reports)
+            rows = self._encoder.row_reports
+            state["records"] = dict(enumerate(rows[since:], since))
         return state
+
+    def checkpoint_committed(self) -> None:
+        """The last :meth:`checkpoint_state` is durable: deltas start here."""
+        if self._cleaner is not None:
+            self._n_records_committed = len(self._cleaner)
+            self._cleaner.track_updates()
+        else:
+            self._n_records_committed = len(self._encoder.row_reports)
 
     @classmethod
     def from_state(
@@ -182,9 +195,10 @@ class IncrementalEngine:
         """Rebuild an engine whose next :meth:`ingest` continues the stream.
 
         The resumed engine is observably identical to the one that wrote
-        the checkpoint: same encoding (via the rebuild ≡ in-place
-        invariant), same carried closed set, and downstream artifacts
-        recomputed through the exact code path that produced them.
+        the checkpoint: the kept reports are re-encoded and re-mined
+        through the full-rebuild path (the rebuild ≡ in-place
+        invariant), and downstream artifacts are recomputed through the
+        exact code path that produced them.
         """
         engine = cls(config, registry=registry)
         if bool(state["clean"]) != (engine._cleaner is not None):
@@ -193,41 +207,26 @@ class IncrementalEngine:
                 f"checkpoint was written in {mode} mode but the config "
                 "requests the opposite; refusing to mix streams"
             )
+        records = list(state["records"].values())
         if engine._cleaner is not None:
             engine._cleaner = IncrementalCleaner.from_merge_state(
-                state["cleaner"]
+                state["cleaner"], records
             )
-            kept = engine._cleaner.kept_reports()
+            delta = CleaningDelta()
         else:
-            kept = list(state["rows"])
-            engine._seen_case_ids = {report.case_id for report in kept}
-        engine._encoder.rebuild(kept)
-        database = engine._encoder.database
-        if len(database) != int(state["n_rows"]):
+            engine._seen_case_ids = {report.case_id for report in records}
+            delta = CleaningDelta(appended=records)
+        engine.n_batches = int(state["n_batches"])
+        # A serial re-mine: the closed set is the same at every worker
+        # count, and one mine is not worth spawning the pool for.
+        engine._run_rebuild(delta, NULL_REGISTRY, {}, serial=True)
+        n_rows = len(engine._encoder.database)
+        if n_rows != int(state["n_rows"]):
             raise StoreError(
                 f"checkpoint claims {state['n_rows']} encoded rows but the "
-                f"restored stream encodes {len(database)}; the stored state "
+                f"restored stream encodes {n_rows}; the stored state "
                 "is inconsistent"
             )
-        closed = [
-            FrequentItemset(frozenset(items), int(support))
-            for items, support in state["closed"]
-        ]
-        engine.n_batches = int(state["n_batches"])
-        oracle = SupportOracle(BitsetIndex(database))
-        for fi in closed:
-            oracle.warm(fi.items, fi.support)
-        # Recompute rules/associations/clusters and the result through
-        # the normal downstream pass (no reuse): it also reinstates
-        # _closed/_oracle/_artifacts/_support_types/_n_rows_prev.
-        engine._downstream(
-            closed,
-            oracle,
-            carried_keys=frozenset(),
-            reuse_artifacts=False,
-            registry=NULL_REGISTRY,
-            stats={},
-        )
         return engine
 
     # -- ingest --------------------------------------------------------
@@ -320,7 +319,9 @@ class IncrementalEngine:
 
     # -- full rebuild path ---------------------------------------------
 
-    def _run_rebuild(self, delta: CleaningDelta, registry, stats) -> None:
+    def _run_rebuild(
+        self, delta: CleaningDelta, registry, stats, *, serial: bool = False
+    ) -> None:
         config = self.config
         with registry.timer("incremental.encode"):
             if self._cleaner is not None:
@@ -333,7 +334,7 @@ class IncrementalEngine:
         oracle = SupportOracle.for_database(database)
         n_workers = resolve_workers(config.n_workers)
         with registry.timer("incremental.mine"):
-            if n_workers > 1 and len(database) > 1:
+            if not serial and n_workers > 1 and len(database) > 1:
                 # Mirror the one-shot pipeline's sharded invocation
                 # bit for bit — same plan, same shared oracle.
                 dataset = ReportDataset.from_cleaned(

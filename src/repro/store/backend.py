@@ -11,7 +11,8 @@ Two implementations ship:
   with crash-safe atomic writes;
 - :class:`~repro.store.sqlite.SQLiteBackend` — a single WAL-mode
   SQLite file (``sqlite:///path.db``) holding a versioned run catalog
-  with retention/compaction plus the engine checkpoint + batch journal
+  with retention/compaction plus the engine checkpoint (one row per
+  record, so a batch commits only what it changed) and batch journal
   that make a SIGKILL'd surveillance stream resumable.
 
 Backends are addressed by URI so every entry point (``ResultStore.
@@ -83,13 +84,20 @@ class RunRecord:
 
 @dataclass(frozen=True, slots=True)
 class Checkpoint:
-    """A restorable surveillance state, as stored by a backend."""
+    """A restorable surveillance state, as stored by a backend.
+
+    ``state`` is the whole state, with ``records`` as a position →
+    record mapping in position order; ``commit_id`` names the commit
+    that wrote it last (None for a checkpoint of layout version 1,
+    written before commits had ids).
+    """
 
     run: str
     n_batches: int
     fingerprint: str
     updated_at: str
     state: dict[str, Any]
+    commit_id: str | None
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,6 +172,12 @@ class Backend(ABC):
 
     # -- surveillance checkpoints --------------------------------------
 
+    def _no_checkpoints(self) -> StoreError:
+        return StoreError(
+            f"{type(self).__name__} does not support checkpoints; "
+            "use a sqlite:///path.db store for crash-resumable surveillance"
+        )
+
     def save_checkpoint(
         self,
         run: str,
@@ -171,34 +185,38 @@ class Backend(ABC):
         *,
         n_batches: int,
         fingerprint: str,
+        commit_id: str,
+        parent: str | None = None,
         journal: list[JournalEntry] = (),
     ) -> None:
-        """Atomically persist the engine state + the batches' journal rows."""
-        raise StoreError(
-            f"{type(self).__name__} does not support checkpoints; "
-            "use a sqlite:///path.db store for crash-resumable surveillance"
-        )
+        """Atomically commit a checkpoint + the batches' journal rows.
+
+        ``state["records"]`` maps positions to records and
+        ``state["seen_case_ids"]`` lists case ids; the rest of ``state``
+        is its header. Without ``parent`` the state is whole and
+        replaces the run's checkpoint. With ``parent``, which must still
+        be the run's last commit under the same fingerprint, the state
+        is a delta: its records are written over their positions, its
+        case ids are appended, and its header replaces the stored one.
+        Either way the run's last commit becomes ``commit_id``.
+        """
+        raise self._no_checkpoints()
+
+    def checkpoint_commit(self, run: str) -> str | None:
+        """The id of the last commit to ``run``'s checkpoint, or None."""
+        raise self._no_checkpoints()
 
     def load_checkpoint(self, run: str) -> Checkpoint | None:
         """The latest checkpoint of ``run``, or None when there is none."""
-        raise StoreError(
-            f"{type(self).__name__} does not support checkpoints; "
-            "use a sqlite:///path.db store for crash-resumable surveillance"
-        )
+        raise self._no_checkpoints()
 
     def journal_case_ids(self, run: str, batch_index: int) -> list[str] | None:
         """The journaled case ids of one ingested batch (None if absent)."""
-        raise StoreError(
-            f"{type(self).__name__} does not support checkpoints; "
-            "use a sqlite:///path.db store for crash-resumable surveillance"
-        )
+        raise self._no_checkpoints()
 
     def clear_checkpoint(self, run: str) -> None:
         """Drop the checkpoint and journal of ``run`` (idempotent)."""
-        raise StoreError(
-            f"{type(self).__name__} does not support checkpoints; "
-            "use a sqlite:///path.db store for crash-resumable surveillance"
-        )
+        raise self._no_checkpoints()
 
     # -- lifecycle -----------------------------------------------------
 

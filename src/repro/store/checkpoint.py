@@ -11,29 +11,40 @@ JSON form in a :class:`~repro.store.backend.Backend`:
   say, two ``min_support`` values would produce a stream that matches
   *neither* config's one-shot run. ``n_workers`` and
   ``shard_strategy`` are deliberately excluded: the engine's output is
-  byte-identical across worker counts (the differential harness in
-  ``tests/parallel`` enforces it), so a stream checkpointed at
-  ``--workers 4`` may resume at ``--workers 1`` and vice versa.
-- :func:`checkpoint_monitor` / :func:`restore_monitor` convert the
-  monitor's state dict (which carries live
-  :class:`~repro.faers.schema.CaseReport` objects) to and from the
-  JSON payload a backend stores, and pair it with the batch journal
-  entries that make the resume verifiable against the input stream.
+  byte-identical across worker counts (``tests/parallel`` and
+  ``tests/incremental/test_differential.py`` enforce it), so a stream
+  checkpointed at ``--workers 4`` may resume at ``--workers 1`` and
+  vice versa.
+- :func:`checkpoint_monitor` commits the monitor's state. A backend
+  keeps a checkpoint's records and seen case ids one row each, so a
+  commit writes only the batch's change: the records appended or
+  updated since the monitor's last commit (kept rows in no-clean mode,
+  the cleaner's merged reports in clean mode), the case ids first seen
+  since, and the small header of counters. That holds only while the
+  stored checkpoint ends at the monitor's own last commit; otherwise
+  (the first commit, another writer's lineage, a commit that failed
+  after reaching the store) the commit writes the whole state. The
+  monitor moves its marks only after a commit succeeds, so a failed
+  commit loses nothing.
+- :func:`restore_monitor` loads the state and rebuilds the monitor;
+  :func:`verify_journal` checks the batch journal against the input
+  stream.
 
 The correctness contract — a SIGKILL'd, resumed stream exports the
 same bytes as an uninterrupted one — rests on two invariants the rest
-of the codebase already enforces: the encoder's in-place state equals a
-fresh rebuild over the kept reports, and every downstream cache
-(support oracle, artifacts, support types) affects speed only, never
-values. ``tests/store`` asserts the contract end to end, including
-kills inside a batch.
+of the codebase already enforces: the encoder's in-place state and the
+carried closed set equal a fresh rebuild and re-mine over the kept
+reports (so the closed set is not stored but re-mined on restore), and
+every downstream cache (support oracle, artifacts, support
+types) affects speed only, never values. ``tests/store`` asserts the
+contract end to end, including kills inside a batch.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any
+import uuid
 
 from repro.core.incremental import SurveillanceMonitor
 from repro.core.pipeline import MarasConfig
@@ -43,7 +54,7 @@ from repro.faers.schema import CaseReport
 from repro.store.backend import Backend, JournalEntry
 
 #: Bump when the checkpoint payload layout changes incompatibly.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 # MarasConfig fields that change the exported bytes. Excluded on
 # purpose: n_workers / shard_strategy (byte-identical across values),
@@ -68,30 +79,6 @@ def config_fingerprint(config: MarasConfig) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _engine_state_to_json(state: dict[str, Any]) -> dict[str, Any]:
-    payload = dict(state)
-    if "cleaner" in payload:
-        cleaner = dict(payload["cleaner"])
-        cleaner["reports"] = [r.to_json() for r in cleaner["reports"]]
-        payload["cleaner"] = cleaner
-    else:
-        payload["rows"] = [r.to_json() for r in payload["rows"]]
-    return payload
-
-
-def _engine_state_from_json(payload: dict[str, Any]) -> dict[str, Any]:
-    state = dict(payload)
-    if "cleaner" in state:
-        cleaner = dict(state["cleaner"])
-        cleaner["reports"] = [
-            CaseReport.from_json(r) for r in cleaner["reports"]
-        ]
-        state["cleaner"] = cleaner
-    else:
-        state["rows"] = [CaseReport.from_json(r) for r in state["rows"]]
-    return state
-
-
 def checkpoint_monitor(
     backend: Backend,
     run: str,
@@ -105,23 +92,26 @@ def checkpoint_monitor(
     Called after each ingested batch; ``journal`` carries the entries
     of the batches this checkpoint newly covers. A kill before the
     commit leaves the previous checkpoint (the batch replays on
-    resume); a kill after it leaves this one — never a torn mix.
+    resume); a kill after it leaves this one — never a torn mix. The
+    commit carries only the change since the stored checkpoint when
+    that checkpoint is this monitor's last commit, else the whole state.
     """
-    state = monitor.checkpoint_state()
-    payload = {
-        "version": CHECKPOINT_VERSION,
-        "batch_index": state["batch_index"],
-        "n_reports": state["n_reports"],
-        "seen_case_ids": state["seen_case_ids"],
-        "engine": _engine_state_to_json(state["engine"]),
-    }
+    parent = monitor.checkpoint_id
+    if parent is not None and backend.checkpoint_commit(run) != parent:
+        parent = None
+    state = monitor.checkpoint_state(delta=parent is not None)
+    records = {p: report.to_json() for p, report in state["records"].items()}
+    commit_id = uuid.uuid4().hex
     backend.save_checkpoint(
         run,
-        payload,
+        {**state, "version": CHECKPOINT_VERSION, "records": records},
         n_batches=state["batch_index"],
         fingerprint=fingerprint,
+        commit_id=commit_id,
+        parent=parent,
         journal=journal,
     )
+    monitor.checkpoint_committed(commit_id)
 
 
 def restore_monitor(
@@ -156,19 +146,20 @@ def restore_monitor(
             f"{checkpoint.fingerprint[:12]}… != {expected[:12]}…); "
             "resume with the original parameters or clear the checkpoint"
         )
-    state = {
-        "batch_index": checkpoint.state["batch_index"],
-        "n_reports": checkpoint.state["n_reports"],
-        "seen_case_ids": checkpoint.state["seen_case_ids"],
-        "engine": _engine_state_from_json(checkpoint.state["engine"]),
+    records = {
+        position: CaseReport.from_json(record)
+        for position, record in checkpoint.state["records"].items()
     }
-    return SurveillanceMonitor.from_checkpoint_state(
+    monitor = SurveillanceMonitor.from_checkpoint_state(
         config,
-        state,
+        {**checkpoint.state, "records": records},
         method=method,
         riser_threshold=riser_threshold,
         registry=registry,
     )
+    # The restored state is exactly the stored commit's: continue it.
+    monitor.checkpoint_committed(checkpoint.commit_id)
+    return monitor
 
 
 def verify_journal(

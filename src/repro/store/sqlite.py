@@ -10,16 +10,22 @@ One WAL-mode SQLite file holds everything the durable tier needs:
     queryable), :meth:`SQLiteBackend.prune` applies retention by
     deleting rows beyond the newest *keep* versions per run.
 
-``checkpoints`` / ``journal``
-    Crash-resumable surveillance. After each ingested batch, ``mediar
-    watch --store sqlite:///…`` commits the serialized
-    :class:`~repro.incremental.engine.IncrementalEngine` state *and*
-    the journal rows of the batches it covers in **one transaction** —
-    so a SIGKILL at any instant leaves either the previous consistent
-    checkpoint or the new one, never a torn mix. On resume the journal
-    is replayed against the input stream to verify the already-ingested
-    prefix is the same data, then ingestion continues from the first
-    unjournaled batch.
+``checkpoints`` / ``checkpoint_records`` / ``checkpoint_seen`` / ``journal``
+    Crash-resumable surveillance. A run's checkpoint is one
+    ``checkpoints`` row (the small state header, its fingerprint and the
+    id of its last commit), one ``checkpoint_records`` row per engine
+    record (keyed by position) and one ``checkpoint_seen`` row per case
+    id seen. After each ingested batch, ``mediar watch --store
+    sqlite:///…`` commits only what the batch changed — its records
+    written over their positions, its new case ids, the new header —
+    and the journal rows of the batches it covers, in **one
+    transaction**: a SIGKILL at any instant leaves either the previous
+    consistent checkpoint or the new one, never a torn mix. Such a
+    commit applies only on top of the commit it was computed against
+    (compare-and-swap on the commit id); a whole state replaces the
+    run's rows instead. On resume the journal is replayed against the
+    input stream to verify the already-ingested prefix is the same
+    data, then ingestion continues from the first unjournaled batch.
 
 WAL mode keeps readers (a serving process loading snapshots) unblocked
 by the writer (a watch process checkpointing); ``synchronous=NORMAL``
@@ -63,8 +69,21 @@ CREATE TABLE IF NOT EXISTS checkpoints (
     updated_at  TEXT NOT NULL,
     n_batches   INTEGER NOT NULL,
     fingerprint TEXT NOT NULL,
-    state       TEXT NOT NULL
+    state       TEXT NOT NULL,
+    commit_id   TEXT
 );
+CREATE TABLE IF NOT EXISTS checkpoint_records (
+    run         TEXT NOT NULL,
+    position    INTEGER NOT NULL CHECK (position >= 0),
+    record      TEXT NOT NULL,
+    PRIMARY KEY (run, position)
+) WITHOUT ROWID;
+CREATE TABLE IF NOT EXISTS checkpoint_seen (
+    seq         INTEGER PRIMARY KEY,
+    run         TEXT NOT NULL,
+    case_id     TEXT NOT NULL
+);
+CREATE INDEX IF NOT EXISTS checkpoint_seen_run ON checkpoint_seen (run, seq);
 CREATE TABLE IF NOT EXISTS journal (
     run         TEXT NOT NULL,
     batch_index INTEGER NOT NULL,
@@ -100,6 +119,14 @@ class SQLiteBackend(Backend):
             self._conn.execute("PRAGMA synchronous=NORMAL")
             self._conn.execute("PRAGMA foreign_keys=ON")
             self._conn.executescript(_SCHEMA)
+            columns = {
+                row[1]
+                for row in self._conn.execute("PRAGMA table_info(checkpoints)")
+            }
+            if "commit_id" not in columns:  # a file from checkpoint layout v1
+                self._conn.execute(
+                    "ALTER TABLE checkpoints ADD COLUMN commit_id TEXT"
+                )
         except sqlite3.DatabaseError as error:
             self._conn.close()
             raise StoreError(
@@ -262,31 +289,69 @@ class SQLiteBackend(Backend):
         *,
         n_batches: int,
         fingerprint: str,
+        commit_id: str,
+        parent: str | None = None,
         journal: list[JournalEntry] = (),
     ) -> None:
         validate_run_name(run)
-        body = json.dumps(state, sort_keys=True, separators=(",", ":"))
+        header = {
+            key: value
+            for key, value in state.items()
+            if key not in ("records", "seen_case_ids")
+        }
+        body = json.dumps(header, sort_keys=True, separators=(",", ":"))
+        records = [
+            (run, position, json.dumps(record, separators=(",", ":")))
+            for position, record in state["records"].items()
+        ]
+        seen = [(run, case_id) for case_id in state["seen_case_ids"]]
+        now = utc_timestamp()
         with self._lock:
             try:
                 self._conn.execute("BEGIN IMMEDIATE")
-                self._conn.execute(
-                    "INSERT INTO checkpoints (run, updated_at, n_batches,"
-                    " fingerprint, state) VALUES (?, ?, ?, ?, ?)"
-                    " ON CONFLICT (run) DO UPDATE SET updated_at = excluded."
-                    "updated_at, n_batches = excluded.n_batches,"
-                    " fingerprint = excluded.fingerprint, state = excluded.state",
-                    (run, utc_timestamp(), n_batches, fingerprint, body),
-                )
-                for entry in journal:
+                if parent is None:
                     self._conn.execute(
-                        "INSERT OR REPLACE INTO journal (run, batch_index,"
-                        " case_ids) VALUES (?, ?, ?)",
+                        "INSERT OR REPLACE INTO checkpoints (run, updated_at,"
+                        " n_batches, fingerprint, state, commit_id)"
+                        " VALUES (?, ?, ?, ?, ?, ?)",
+                        (run, now, n_batches, fingerprint, body, commit_id),
+                    )
+                    for table in ("checkpoint_records", "checkpoint_seen"):
+                        self._conn.execute(
+                            f"DELETE FROM {table} WHERE run = ?", (run,)
+                        )
+                elif self._conn.execute(
+                    "UPDATE checkpoints SET updated_at = ?, n_batches = ?,"
+                    " state = ?, commit_id = ?"
+                    " WHERE run = ? AND fingerprint = ? AND commit_id = ?",
+                    (now, n_batches, body, commit_id, run, fingerprint, parent),
+                ).rowcount != 1:
+                    self._rollback()
+                    raise StoreError(
+                        f"checkpoint of run {run!r} no longer ends at commit "
+                        f"{parent[:12]}; another writer committed to it"
+                    )
+                self._conn.executemany(
+                    "INSERT OR REPLACE INTO checkpoint_records (run, position,"
+                    " record) VALUES (?, ?, ?)",
+                    records,
+                )
+                self._conn.executemany(
+                    "INSERT INTO checkpoint_seen (run, case_id) VALUES (?, ?)",
+                    seen,
+                )
+                self._conn.executemany(
+                    "INSERT OR REPLACE INTO journal (run, batch_index,"
+                    " case_ids) VALUES (?, ?, ?)",
+                    [
                         (
                             run,
                             entry.batch_index,
                             json.dumps(entry.case_ids, separators=(",", ":")),
-                        ),
-                    )
+                        )
+                        for entry in journal
+                    ],
+                )
                 self._conn.execute("COMMIT")
             except sqlite3.Error as error:
                 self._rollback()
@@ -294,29 +359,66 @@ class SQLiteBackend(Backend):
                     f"cannot checkpoint run {run!r} to {self.path}: {error}"
                 ) from None
 
-    def load_checkpoint(self, run: str) -> Checkpoint | None:
+    def checkpoint_commit(self, run: str) -> str | None:
         with self._lock:
             row = self._conn.execute(
-                "SELECT updated_at, n_batches, fingerprint, state "
-                "FROM checkpoints WHERE run = ?",
-                (run,),
+                "SELECT commit_id FROM checkpoints WHERE run = ?", (run,)
             ).fetchone()
-        if row is None:
+        return None if row is None else row[0]
+
+    def load_checkpoint(self, run: str) -> Checkpoint | None:
+        with self._lock:
+            try:
+                # One read transaction: header and rows are one snapshot.
+                self._conn.execute("BEGIN")
+                header = self._conn.execute(
+                    "SELECT updated_at, n_batches, fingerprint, state,"
+                    " commit_id FROM checkpoints WHERE run = ?",
+                    (run,),
+                ).fetchone()
+                records = self._conn.execute(
+                    "SELECT position, record FROM checkpoint_records"
+                    " WHERE run = ? ORDER BY position",
+                    (run,),
+                ).fetchall()
+                seen = self._conn.execute(
+                    "SELECT case_id FROM checkpoint_seen WHERE run = ?"
+                    " ORDER BY seq",
+                    (run,),
+                ).fetchall()
+                self._conn.execute("COMMIT")
+            except sqlite3.Error as error:
+                self._rollback()
+                raise StoreError(
+                    f"cannot read the checkpoint of run {run!r} from "
+                    f"{self.path}: {error}"
+                ) from None
+        if header is None:
             return None
-        updated_at, n_batches, fingerprint, body = row
+        updated_at, n_batches, fingerprint, body, commit_id = header
+        if records and records[-1][0] != len(records) - 1:
+            raise StoreError(
+                f"checkpoint of run {run!r} in {self.path} has gaps in its "
+                "record positions; the stored state is inconsistent"
+            )
         try:
             state = json.loads(body)
+            state["records"] = {
+                position: json.loads(record) for position, record in records
+            }
         except json.JSONDecodeError as error:
             raise StoreError(
                 f"checkpoint of run {run!r} in {self.path} holds invalid "
                 f"JSON ({error})"
             ) from None
+        state["seen_case_ids"] = [case_id for (case_id,) in seen]
         return Checkpoint(
             run=run,
             n_batches=n_batches,
             fingerprint=fingerprint,
             updated_at=updated_at,
             state=state,
+            commit_id=commit_id,
         )
 
     def journal_case_ids(self, run: str, batch_index: int) -> list[str] | None:
@@ -333,8 +435,15 @@ class SQLiteBackend(Backend):
         with self._lock:
             try:
                 self._conn.execute("BEGIN IMMEDIATE")
-                self._conn.execute("DELETE FROM checkpoints WHERE run = ?", (run,))
-                self._conn.execute("DELETE FROM journal WHERE run = ?", (run,))
+                for table in (
+                    "checkpoints",
+                    "checkpoint_records",
+                    "checkpoint_seen",
+                    "journal",
+                ):
+                    self._conn.execute(
+                        f"DELETE FROM {table} WHERE run = ?", (run,)
+                    )
                 self._conn.execute("COMMIT")
             except sqlite3.Error as error:
                 self._rollback()

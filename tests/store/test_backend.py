@@ -89,7 +89,11 @@ class TestDirectoryBackend:
         with pytest.raises(StoreError, match="sqlite"):
             backend.load_checkpoint("q1")
         with pytest.raises(StoreError, match="sqlite"):
-            backend.save_checkpoint("q1", {}, n_batches=1, fingerprint="x")
+            backend.save_checkpoint(
+                "q1", {}, n_batches=1, fingerprint="x", commit_id="c"
+            )
+        with pytest.raises(StoreError, match="sqlite"):
+            backend.checkpoint_commit("q1")
 
 
 class TestSQLiteBackend:
@@ -161,22 +165,83 @@ class TestSQLiteBackend:
     def test_checkpoint_roundtrip_and_clear(self, backend):
         from repro.store import JournalEntry
 
-        state = {"batch_index": 2, "payload": [1, 2, 3]}
+        state = {
+            "batch_index": 2,
+            "payload": [1, 2, 3],
+            "records": {0: {"id": "C1"}, 1: {"id": "C2"}},
+            "seen_case_ids": ["C1", "C2", "C3"],
+        }
         backend.save_checkpoint(
             "q1",
             state,
             n_batches=2,
             fingerprint="f" * 64,
+            commit_id="c1",
             journal=[JournalEntry(0, ["C1"]), JournalEntry(1, ["C2", "C3"])],
         )
         checkpoint = backend.load_checkpoint("q1")
         assert checkpoint.state == state
         assert checkpoint.n_batches == 2
+        assert checkpoint.commit_id == backend.checkpoint_commit("q1") == "c1"
         assert backend.journal_case_ids("q1", 1) == ["C2", "C3"]
         assert backend.journal_case_ids("q1", 5) is None
         backend.clear_checkpoint("q1")
         assert backend.load_checkpoint("q1") is None
         assert backend.journal_case_ids("q1", 0) is None
+
+    @staticmethod
+    def _commit(backend, state, commit_id, parent=None, **kwargs):
+        kwargs.setdefault("fingerprint", "f")
+        backend.save_checkpoint(
+            "q1",
+            {"records": {}, "seen_case_ids": [], **state},
+            n_batches=int(commit_id[1:]),
+            commit_id=commit_id,
+            parent=parent,
+            **kwargs,
+        )
+
+    def test_delta_commit_writes_over_and_appends(self, backend):
+        whole = {"n": 1, "records": {0: "a", 1: "b"}, "seen_case_ids": ["A"]}
+        self._commit(backend, whole, "c1")
+        delta = {"n": 2, "records": {1: "b2", 2: "c"}, "seen_case_ids": ["C"]}
+        self._commit(backend, delta, "c2", parent="c1")
+        checkpoint = backend.load_checkpoint("q1")
+        assert checkpoint.state == {
+            "n": 2,
+            "records": {0: "a", 1: "b2", 2: "c"},
+            "seen_case_ids": ["A", "C"],
+        }
+        assert (checkpoint.n_batches, checkpoint.commit_id) == (2, "c2")
+
+    @pytest.mark.parametrize(
+        "parent,fingerprint", [("c1", "f"), ("c2", "g")], ids=["stale", "drift"]
+    )
+    def test_delta_commit_needs_its_parent(self, backend, parent, fingerprint):
+        from repro.store import JournalEntry
+
+        whole = {"records": {0: "a"}, "seen_case_ids": ["A"]}
+        self._commit(backend, whole, "c1")
+        self._commit(backend, {}, "c2", parent="c1")
+        with pytest.raises(StoreError, match="another writer"):
+            self._commit(
+                backend,
+                {"records": {1: "b"}, "seen_case_ids": ["B"]},
+                "c3",
+                parent=parent,
+                fingerprint=fingerprint,
+                journal=[JournalEntry(2, ["B"])],
+            )
+        # Nothing of the refused commit landed.
+        assert backend.load_checkpoint("q1").state == whole
+        assert backend.checkpoint_commit("q1") == "c2"
+        assert backend.journal_case_ids("q1", 2) is None
+
+    def test_delta_with_a_gap_is_inconsistent(self, backend):
+        self._commit(backend, {"records": {0: "a"}}, "c1")
+        self._commit(backend, {"records": {2: "c"}}, "c2", parent="c1")
+        with pytest.raises(StoreError, match="gaps"):
+            backend.load_checkpoint("q1")
 
 
 class TestResultStoreIntegration:

@@ -136,6 +136,44 @@ class TestCrashResume:
         assert first_out.read_bytes() == second_out.read_bytes()
 
 
+class TestCrashResumeLongSchedule:
+    """Kills on a longer schedule, around whole and delta commits.
+
+    ``2014Q1`` in 8 equal batches: batch 0 commits the whole state and
+    every later batch commits a delta on top of it. Killing at batch 1
+    leaves the whole commit (before) or the first delta (after); killing
+    at batch 6 leaves a long chain of deltas.
+    """
+
+    QUARTER = "2014Q1"
+    BATCHES = 8
+
+    @pytest.mark.parametrize("mode", ["BEFORE", "AFTER"])
+    @pytest.mark.parametrize("kill_at", [1, 6])
+    def test_killed_watch_resumes_byte_identical(self, tmp_path, kill_at, mode):
+        from repro.store import SQLiteBackend
+
+        quarter, batches = self.QUARTER, self.BATCHES
+        expected = reference_bytes(tmp_path, quarter, batches)
+        label = f"{quarter}-{batches}-{mode}-{kill_at}"
+        directory = _work_dir(tmp_path, label)
+        killed = run_watch(directory, quarter, batches, kill=(mode, kill_at))
+        assert killed.returncode == -9, (killed.returncode, killed.stderr)
+        done = kill_at + 1 if mode == "AFTER" else kill_at
+        with SQLiteBackend(directory / "store.db") as backend:
+            checkpoint = backend.load_checkpoint(quarter)
+        assert checkpoint.n_batches == done, label
+        assert checkpoint.state["batch_index"] == done, label
+        out = directory / "export.json"
+        resumed = run_watch(directory, quarter, batches, out=out)
+        assert resumed.returncode == 0, resumed.stderr
+        assert (
+            f"resumed run {quarter!r} from its checkpoint: {done}/{batches}"
+            in resumed.stdout
+        )
+        assert out.read_bytes() == expected, label
+
+
 class TestServeStoreErrors:
     """Satellite: serve --load on a bad store is a one-line nonzero exit."""
 
