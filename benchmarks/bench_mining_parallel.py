@@ -28,15 +28,6 @@ plan, so 4 workers sit within measurement jitter of 2 rather than the
 ~1.4× regression the old single-level merge paid for its weakened
 quarter-shard thresholds. Real multi-core machines run the full tree
 and pull strictly ahead.
-
-``test_trajectory_warm_vs_cold_refresh`` is the persistent-pool gate:
-the same delta re-mine (the watch-refresh fixture — a small touched-row
-batch over the benchmark corpus) through a freshly spawned
-``MiningPool`` versus a persistent one whose worker processes are
-already running. Both ship the same projected rows; the warm path must
-win ≥1.3× on multi-core runners (tie tolerance on serial ones). The
-record carries the pool's ``worker_replacements`` counter, the
-per-node dataflow timeline, and ``cpu_count``.
 """
 
 from __future__ import annotations
@@ -50,9 +41,9 @@ from benchmarks._trajectory import REPO_ROOT, append_run, base_record
 from repro.faers import ReportDataset, SyntheticFAERSGenerator, quarter_config
 from repro.mining.fpclose import fpclose
 from repro.mining.transactions import canonical_itemset_order
-from repro.obs import InMemorySink, MetricsRegistry
+from repro.obs import MetricsRegistry
 from repro.obs.metrics import use_registry
-from repro.parallel import MiningPool, fpclose_sharded, plan_shards
+from repro.parallel import fpclose_sharded, plan_shards
 
 MIN_SUPPORT = 5
 MAX_LEN = 6
@@ -180,140 +171,4 @@ def test_trajectory_sharded_speedup(bench_dataset):
         f"4-worker run ({sharded_seconds[4]:.3f}s) regressed beyond "
         f"{REGRESSION_TOLERANCE:.2f}x of the 2-worker run "
         f"({sharded_seconds[2]:.3f}s)"
-    )
-
-
-# The watch-refresh fixture: how many rows one surveillance batch
-# touches. Small relative to the corpus (the whole point of delta
-# re-mining) but enough to touch every shard.
-N_TOUCHED_ROWS = 32
-
-# Warm-vs-cold gate: a persistent pool must beat a freshly spawned pool
-# on the same delta re-mine by ≥1.3× on any multi-core runner (the
-# process spawn and interpreter start-up drop out). Serial runners still
-# skip the spawn, but allow a tie-with-jitter floor rather than a
-# speedup claim.
-WARM_GATE_MULTI_CORE = 1.3
-WARM_GATE_SERIAL = 0.9
-
-
-def test_trajectory_warm_vs_cold_refresh(bench_dataset):
-    """Repeated mines over a persistent pool versus a fresh one."""
-    database = bench_dataset.encode().database
-    database.item_masks()
-    n_workers = 4
-    plan = plan_shards(bench_dataset, n_workers, "hash")
-    step = max(1, len(database) // N_TOUCHED_ROWS)
-    touched_mask = 0
-    for tid in range(0, len(database), step):
-        touched_mask |= 1 << tid
-
-    expected = canonical_itemset_order(
-        fpclose(database, MIN_SUPPORT, max_len=MAX_LEN, touched_mask=touched_mask)
-    )
-
-    def cold_remine():
-        # A process without a persistent pool: spawn the workers, then
-        # mine the delta.
-        with MiningPool(n_workers) as pool:
-            return fpclose_sharded(
-                database,
-                MIN_SUPPORT,
-                max_len=MAX_LEN,
-                n_workers=n_workers,
-                plan=plan,
-                pool=pool,
-                touched_mask=touched_mask,
-            )
-
-    cold_seconds, cold = _best_of(cold_remine, rounds=2)
-    assert cold == expected
-
-    with MiningPool(n_workers) as warm_pool:
-        # Prime: the watch loop's previous full mine leaves the worker
-        # processes running.
-        primed = fpclose_sharded(
-            database,
-            MIN_SUPPORT,
-            max_len=MAX_LEN,
-            n_workers=n_workers,
-            plan=plan,
-            pool=warm_pool,
-        )
-        assert primed == canonical_itemset_order(
-            fpclose(database, MIN_SUPPORT, max_len=MAX_LEN)
-        )
-
-        warm_seconds, warm = _best_of(
-            lambda: fpclose_sharded(
-                database,
-                MIN_SUPPORT,
-                max_len=MAX_LEN,
-                n_workers=n_workers,
-                plan=plan,
-                pool=warm_pool,
-                touched_mask=touched_mask,
-            ),
-            rounds=2,
-        )
-        assert warm == expected == cold
-
-        # One instrumented warm pass records the per-node timeline and
-        # the pool counter without polluting the measured rounds.
-        sink = InMemorySink()
-        registry = MetricsRegistry(sink=sink)
-        with use_registry(registry):
-            fpclose_sharded(
-                database,
-                MIN_SUPPORT,
-                max_len=MAX_LEN,
-                n_workers=n_workers,
-                plan=plan,
-                pool=warm_pool,
-                touched_mask=touched_mask,
-            )
-        pool_counters = {
-            "worker_replacements": warm_pool.counters["worker_replacements"]
-        }
-    timeline = [
-        {
-            "node": record["node"],
-            "kind": record["kind"],
-            "queue_depth": record["queue_depth"],
-            "t_submit": record["t_submit"],
-            "t_done": record["t_done"],
-            "seconds": record["seconds"],
-        }
-        for record in sink.of_type("parallel.node")
-    ]
-
-    warm_speedup = cold_seconds / warm_seconds
-    record = base_record(
-        n_transactions=len(database),
-        min_support=MIN_SUPPORT,
-        max_len=MAX_LEN,
-        cpu_count=os.cpu_count(),
-        n_workers=n_workers,
-        n_touched_rows=touched_mask.bit_count(),
-        n_delta_closed=len(warm),
-        seconds={
-            "cold_remine": round(cold_seconds, 6),
-            "warm_remine": round(warm_seconds, 6),
-        },
-        warm_speedup=round(warm_speedup, 2),
-        pool_counters=pool_counters,
-        timeline=timeline,
-    )
-    append_run(
-        TRAJECTORY_PATH, "mining-perf", "mining-parallel/warm-refresh", record
-    )
-
-    gate = (
-        WARM_GATE_MULTI_CORE
-        if (os.cpu_count() or 1) > 1
-        else WARM_GATE_SERIAL
-    )
-    assert warm_speedup >= gate, (
-        f"warm re-mine only {warm_speedup:.2f}x faster than cold "
-        f"(cold {cold_seconds:.3f}s, warm {warm_seconds:.3f}s; gate {gate}x)"
     )

@@ -144,7 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_arguments(watch)
     watch.add_argument("--min-support", type=int, default=5)
     watch.add_argument("--max-drugs", type=int, default=4)
-    _add_worker_arguments(watch)
     watch.add_argument(
         "--batches",
         type=int,
@@ -588,8 +587,6 @@ def cmd_watch(args: argparse.Namespace) -> int:
         max_drugs=args.max_drugs,
         clean=False,  # load_dataset already cleaned when asked to
         incremental=not args.full_rescan,
-        n_workers=getattr(args, "workers", 1),
-        shard_strategy=getattr(args, "shard_strategy", "hash"),
     )
     registry = build_registry(args)
     size = max(1, -(-len(reports) // args.batches))

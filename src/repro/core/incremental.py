@@ -130,10 +130,11 @@ class SurveillanceMonitor:
     >>> delta = monitor.ingest(next_batch)
     >>> delta.newly_surfaced
 
-    The config is forwarded verbatim to each batch's pipeline run, so
-    ``MarasConfig(n_workers=N)`` shards the re-mine of the accumulated
-    stream across N processes (:mod:`repro.parallel`) with results
-    identical to the single-process monitor.
+    The config is forwarded verbatim to each batch's pipeline run. The
+    full-rescan monitor therefore shards each re-mine at
+    ``MarasConfig(n_workers=N)`` (:mod:`repro.parallel`), while the
+    incremental engine always mines in-process; results are identical
+    either way.
     """
 
     def __init__(
@@ -144,6 +145,21 @@ class SurveillanceMonitor:
         riser_threshold: int = 5,
         registry: MetricsRegistry | NullRegistry | None = None,
     ) -> None:
+        self._setup(config, method, riser_threshold, registry)
+        self._engine: IncrementalEngine | None = (
+            IncrementalEngine(self.config, registry=self.registry)
+            if self.config.incremental
+            else None
+        )
+
+    def _setup(
+        self,
+        config: MarasConfig | None,
+        method: RankingMethod,
+        riser_threshold: int,
+        registry: MetricsRegistry | NullRegistry | None,
+    ) -> None:
+        """Every field but the engine (see :meth:`from_checkpoint_state`)."""
         if riser_threshold < 1:
             raise ConfigError(f"riser_threshold must be >= 1, got {riser_threshold}")
         self.config = config if config is not None else MarasConfig()
@@ -169,23 +185,14 @@ class SurveillanceMonitor:
         self._last_result: MarasResult | None = None
         self._last_ranks: dict[ClusterKey, int] = {}
         self._history: list[BatchDelta] = []
-        self._engine: IncrementalEngine | None = (
-            IncrementalEngine(self.config, registry=self.registry)
-            if self.config.incremental
-            else None
-        )
 
     def close(self) -> None:
-        """Release engine resources; idempotent.
+        """Close the monitor; idempotent.
 
-        Shuts down the engine's persistent
-        :class:`~repro.parallel.pool.MiningPool` (used by sharded
-        re-mining). Its worker processes are
-        spawned once and reused by every batch, so close only when the
-        stream is done, not between batches.
+        The monitor holds no processes or other resources, so this
+        releases nothing. It stays so callers can bracket a stream with
+        ``with SurveillanceMonitor(...)`` or an explicit ``close()``.
         """
-        if self._engine is not None:
-            self._engine.close()
 
     def __enter__(self) -> "SurveillanceMonitor":
         return self
@@ -311,7 +318,6 @@ class SurveillanceMonitor:
             n_reports_total=self._n_reports,
             n_fresh=len(new_rows),
             n_case_updates=n_updates,
-            n_workers=self.config.n_workers,
             mine_seconds=mine_seconds,
             n_newly_surfaced=len(newly_surfaced),
             n_dropped=len(dropped),
@@ -407,20 +413,13 @@ class SurveillanceMonitor:
             raise StoreError(
                 "checkpoints require MarasConfig(incremental=True)"
             )
-        monitor = cls(
-            config,
-            method=method,
-            riser_threshold=riser_threshold,
-            registry=registry,
-        )
-        stale = monitor._engine
+        monitor = cls.__new__(cls)
+        monitor._setup(config, method, riser_threshold, registry)
         monitor._engine = IncrementalEngine.from_state(
             config,
             {**state["engine"], "records": state["records"]},
             registry=monitor.registry,
         )
-        if stale is not None:
-            stale.close()
         monitor._batch_index = int(state["batch_index"])
         monitor._n_reports = int(state["n_reports"])
         monitor._seen_order = list(state["seen_case_ids"])

@@ -88,17 +88,19 @@ class MarasConfig:
     theta, decay:
         Exclusiveness parameters forwarded to the rankers.
     n_workers:
-        Number of worker processes for the mining stage. ``1`` (the
-        default) runs today's in-process path; ``N > 1`` partitions the
-        dataset into shards, mines them in ``N`` processes, and merges
-        the per-shard results exactly (:mod:`repro.parallel`); ``0``
-        means one worker per CPU core. Results are byte-identical for
-        every value — the differential harness in ``tests/parallel``
-        enforces it.
+        Number of worker processes for the mining stage. It shards
+        one-shot mining; the incremental engine always mines
+        in-process. ``1`` (the default) runs the in-process path;
+        ``N > 1`` partitions the dataset into shards, mines them in
+        ``N`` processes, and merges the per-shard results exactly
+        (:mod:`repro.parallel`); ``0`` means one worker per CPU core.
+        Results are byte-identical for every value — the differential
+        harness in ``tests/parallel`` enforces it.
     shard_strategy:
         How the parallel path partitions reports: ``"hash"`` (stable
         hash of the case id) or ``"quarter"`` (one shard per distinct
-        quarter label). Ignored when ``n_workers == 1``.
+        quarter label). Ignored when ``n_workers == 1`` and by the
+        incremental engine.
     incremental:
         Make :class:`~repro.core.incremental.SurveillanceMonitor` fold
         batches through the stateful

@@ -20,13 +20,11 @@ surveillance stream and turns each ingested batch into a full
    (:func:`~repro.incremental.mining.carry_closed_itemsets`);
    :func:`~repro.mining.fpclose.fpclose` with ``touched_mask`` re-mines
    only the subtrees whose conditional databases intersect the delta.
-   The two halves partition the new closed family exactly. At
-   ``n_workers > 1`` the delta re-mine itself is sharded across the
-   engine's long-lived process pool
-   (:func:`~repro.parallel.miner.fpclose_sharded` with the same
-   ``touched_mask`` contract): shard rows are projected onto the
-   touched rows' item universe, so worker cost tracks the delta's
-   neighbourhood rather than the accumulated history.
+   The two halves partition the new closed family exactly. Mining
+   always runs in-process, whatever ``config.n_workers`` says: a
+   sharded mine enumerates every frequent itemset per shard and
+   re-intersects them at the merge, which costs more than serial
+   closed mining at every size measured.
 4. **Downstream reuse** — the support oracle is warm-started from the
    previous batch (entries disjoint from the delta's item universe keep
    their counts), support types of carried itemsets are reused
@@ -38,12 +36,12 @@ surveillance stream and turns each ingested batch into a full
 Any batch the in-place invariants cannot absorb — a kept/dropped status
 flip in cleaning, a catalog-order violation in encoding, or a delta
 larger than ``config.incremental_rebuild_fraction`` of the database —
-falls back to a full rebuild that mirrors the one-shot pipeline's
-mining invocation exactly (including sharded mining at
-``n_workers > 1``). On every path the emitted result is byte-identical
-to ``Maras(config).run(history_so_far)`` — the differential harness in
+falls back to a full rebuild: one in-process
+:func:`~repro.mining.fpclose.fpclose` over the re-encoded kept reports.
+On every path the emitted result is byte-identical to
+``Maras(config).run(history_so_far)`` — the differential harness in
 ``tests/incremental`` enforces this across seed grids, batch schedules,
-follow-up injections and worker counts.
+follow-up injections and clean modes.
 """
 
 from __future__ import annotations
@@ -79,9 +77,6 @@ from repro.mining.transactions import (
     resolve_min_support,
 )
 from repro.obs import NULL_REGISTRY, use_registry
-from repro.parallel.miner import fpclose_sharded, resolve_workers
-from repro.parallel.pool import MiningPool
-from repro.parallel.sharding import plan_shards
 
 # (rule, association, cluster) of one closed itemset; any slot may be
 # None when the itemset yields no drug→ADR rule / no multi-drug rule.
@@ -118,27 +113,12 @@ class IncrementalEngine:
         self._support_types: dict[Itemset, SupportType] = {}
         self._n_rows_prev = 0
         self._result: MarasResult | None = None
-        self._pool: MiningPool | None = None
         # Records the last durable checkpoint held (see checkpoint_state).
         self._n_records_committed = 0
         self.n_batches = 0
         #: Reuse/delta accounting of the most recent batch (also emitted
         #: as the ``incremental.batch`` event).
         self.last_batch_stats: dict[str, object] = {}
-
-    # -- lifecycle -----------------------------------------------------
-
-    def close(self) -> None:
-        """Shut down the mining pool (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
-    def __enter__(self) -> "IncrementalEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     @property
     def result(self) -> MarasResult | None:
@@ -217,9 +197,7 @@ class IncrementalEngine:
             engine._seen_case_ids = {report.case_id for report in records}
             delta = CleaningDelta(appended=records)
         engine.n_batches = int(state["n_batches"])
-        # A serial re-mine: the closed set is the same at every worker
-        # count, and one mine is not worth spawning the pool for.
-        engine._run_rebuild(delta, NULL_REGISTRY, {}, serial=True)
+        engine._run_rebuild(delta, NULL_REGISTRY, {})
         n_rows = len(engine._encoder.database)
         if n_rows != int(state["n_rows"]):
             raise StoreError(
@@ -285,19 +263,6 @@ class IncrementalEngine:
             return CleaningDelta(appended=fresh, n_new_cases=len(fresh))
         return self._cleaner.ingest(rows)
 
-    def _ensure_pool(self, n_workers: int) -> MiningPool:
-        """The engine's long-lived mining pool.
-
-        A :class:`~repro.parallel.pool.MiningPool`, so batches reuse
-        the same worker processes instead of spawning a pool each time.
-        Each delta re-mine ships its shard rows already projected onto
-        the touched universe, so what crosses the process boundary
-        tracks the delta's neighbourhood.
-        """
-        if self._pool is None:
-            self._pool = MiningPool(n_workers)
-        return self._pool
-
     def _rebuild_reason(
         self, delta: CleaningDelta, n_touched: int
     ) -> str | None:
@@ -319,9 +284,7 @@ class IncrementalEngine:
 
     # -- full rebuild path ---------------------------------------------
 
-    def _run_rebuild(
-        self, delta: CleaningDelta, registry, stats, *, serial: bool = False
-    ) -> None:
+    def _run_rebuild(self, delta: CleaningDelta, registry, stats) -> None:
         config = self.config
         with registry.timer("incremental.encode"):
             if self._cleaner is not None:
@@ -332,28 +295,10 @@ class IncrementalEngine:
         database = self._encoder.database
         threshold = resolve_min_support(config.min_support, len(database))
         oracle = SupportOracle.for_database(database)
-        n_workers = resolve_workers(config.n_workers)
         with registry.timer("incremental.mine"):
-            if not serial and n_workers > 1 and len(database) > 1:
-                # Mirror the one-shot pipeline's sharded invocation
-                # bit for bit — same plan, same shared oracle.
-                dataset = ReportDataset.from_cleaned(
-                    tuple(kept), self._encoder.quarter()
-                )
-                closed = fpclose_sharded(
-                    database,
-                    threshold,
-                    max_len=config.max_itemset_len,
-                    n_workers=n_workers,
-                    plan=plan_shards(dataset, n_workers, config.shard_strategy),
-                    oracle=oracle,
-                    pool=self._ensure_pool(n_workers),
-                )
-            else:
-                closed = fpclose(
-                    database, threshold, max_len=config.max_itemset_len
-                )
-            closed = canonical_itemset_order(closed)
+            closed = canonical_itemset_order(
+                fpclose(database, threshold, max_len=config.max_itemset_len)
+            )
         stats.update(
             n_carried=0,
             n_mined=len(closed),
@@ -405,36 +350,16 @@ class IncrementalEngine:
             return
 
         touched_tids = effect.updated_tids + effect.appended_tids
-        n_workers = resolve_workers(config.n_workers)
         with registry.timer("incremental.mine"):
             carried, suspects = carry_closed_itemsets(
                 self._closed, database, touched_tids, threshold
             )
-            if n_workers > 1 and len(database) > 1:
-                # Shard the delta re-mine across the long-lived pool:
-                # the same plan the one-shot pipeline would use, but
-                # each shard's rows projected onto the touched rows'
-                # item universe (see repro.parallel.miner), so worker
-                # cost tracks the delta's neighbourhood, not history.
-                dataset = ReportDataset.from_cleaned(
-                    tuple(self._encoder.row_reports), self._encoder.quarter()
-                )
-                mined = fpclose_sharded(
-                    database,
-                    threshold,
-                    max_len=config.max_itemset_len,
-                    n_workers=n_workers,
-                    plan=plan_shards(dataset, n_workers, config.shard_strategy),
-                    pool=self._ensure_pool(n_workers),
-                    touched_mask=touched_mask,
-                )
-            else:
-                mined = fpclose(
-                    database,
-                    threshold,
-                    max_len=config.max_itemset_len,
-                    touched_mask=touched_mask,
-                )
+            mined = fpclose(
+                database,
+                threshold,
+                max_len=config.max_itemset_len,
+                touched_mask=touched_mask,
+            )
             closed = canonical_itemset_order(carried + mined)
         registry.counter("incremental.closed_carried").inc(len(carried))
         registry.counter("incremental.closed_mined").inc(len(mined))

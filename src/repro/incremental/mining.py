@@ -15,14 +15,7 @@ only gains items — which is all union-merge cleaning can produce):
   intersecting ``T`` — and :func:`repro.mining.fpclose.fpclose` with
   ``touched_mask=T`` enumerates exactly the closed itemsets whose mask
   intersects ``T`` (a branch's tidset only shrinks downward, so a
-  subtree whose projected mask misses ``T`` is skipped whole). At
-  ``n_workers > 1`` the engine runs the same contract through
-  :func:`repro.parallel.miner.fpclose_sharded` instead, which projects
-  each shard's rows onto the union of the touched rows' items — every
-  delta-affected closed itemset is contained in some touched row,
-  hence in that union — and filters the merged result by
-  mask-intersects-``T``; byte-identity with the single-process delta
-  is part of the differential contract below.
+  subtree whose projected mask misses ``T`` is skipped whole).
 
 The two sets partition the new closed family, so ``carried ∪ re-mined``
 is exactly what a from-scratch mine would return — the differential

@@ -238,13 +238,6 @@ def chunk_popcount(blocks: ChunkedMask) -> int:
     return sum(block.bit_count() for block in blocks.values())
 
 
-def chunk_disjoint(a: ChunkedMask, b: ChunkedMask) -> bool:
-    if len(b) < len(a):
-        a, b = b, a
-    get = b.get
-    return all(not (block & get(index, 0)) for index, block in a.items())
-
-
 def chunk_tids(blocks: ChunkedMask) -> Iterator[int]:
     """Yield set tids; O(popcount) via lowest-set-bit isolation."""
     for index in sorted(blocks):

@@ -5,15 +5,13 @@ all locally frequent itemsets per shard in worker processes
 (:mod:`~repro.parallel.worker`), and merge them *tree-wise* into the
 exact global closed set (:mod:`~repro.parallel.merge`). Scheduling is
 dependency-driven dataflow (:mod:`~repro.parallel.miner`): each merge
-node is submitted the moment its inputs complete, and for full mines
-the root's closure/dedup pass runs inside the top tree node. Every
-task carries the rows it needs, and a persistent
-:class:`~repro.parallel.pool.MiningPool` keeps its worker processes
-across repeated mines (watch batches, serving refreshes). The
-top-level entry point is :func:`~repro.parallel.miner.fpclose_sharded`,
-threaded through
-``Maras.run`` via ``MarasConfig(n_workers=...)`` — and through the
-incremental engine's delta re-mining via ``touched_mask``.
+node is submitted the moment its inputs complete, and the root's
+closure/dedup pass runs inside the top tree node. Every task carries
+the rows it needs, over a :class:`~repro.parallel.pool.MiningPool`.
+The top-level entry point is
+:func:`~repro.parallel.miner.fpclose_sharded`, threaded through
+one-shot ``Maras.run`` via ``MarasConfig(n_workers=...)``. The
+incremental engine does not use it: it always mines in-process.
 """
 
 from repro.parallel.merge import merge_pair, merge_shard_itemsets

@@ -53,8 +53,6 @@ from repro.mining.bitsets import (
     ChunkedItemMasks,
     ChunkedMask,
     SupportOracle,
-    chunk_disjoint,
-    chunk_mask,
     chunk_popcount,
     chunk_tids,
 )
@@ -79,7 +77,6 @@ def merge_shard_itemsets(
     *,
     max_len: int | None = None,
     oracle: SupportOracle | None = None,
-    touched_mask: int | None = None,
 ) -> list[FrequentItemset]:
     """Merge per-region frequent itemsets into the global closed set.
 
@@ -87,9 +84,7 @@ def merge_shard_itemsets(
     ``min_support`` in canonical ``sorted(items)`` order. When an
     ``oracle`` is given, every exact support computed here is warmed
     into its memo cache so downstream rule/cluster construction never
-    re-intersects these tidsets. When ``touched_mask`` is given, only
-    closed sets whose tidset intersects it are emitted — the delta
-    contract of ``fpclose(touched_mask=...)``.
+    re-intersects these tidsets.
     """
     registry = get_registry()
     table = ChunkedItemMasks(
@@ -182,20 +177,11 @@ def merge_shard_itemsets(
     registry.counter("parallel.merge.reintersections").inc(reintersections)
     registry.counter("parallel.merge.pruned_dead").inc(pruned_dead)
 
-    touched_blocks = (
-        chunk_mask(touched_mask) if touched_mask is not None else None
-    )
     by_support, neg_supports = table.items_by_support()
     covers = table.covers
     transactions: list | None = None
-    skipped_untouched = 0
     results: list[FrequentItemset] = []
     for blocks, support in groups.values():
-        if touched_blocks is not None and chunk_disjoint(
-            blocks, touched_blocks
-        ):
-            skipped_untouched += 1
-            continue
         if support <= _CLOSURE_SCAN_CUTOFF:
             if transactions is None:
                 transactions = list(database)
@@ -221,10 +207,6 @@ def merge_shard_itemsets(
                 oracle.warm(closure, support)
             results.append(FrequentItemset(closure, support))
     registry.counter("parallel.merge.reclosed").inc(len(results))
-    if touched_blocks is not None:
-        registry.counter("parallel.merge.skipped_untouched").inc(
-            skipped_untouched
-        )
 
     results.sort(key=lambda fi: tuple(sorted(fi.items)))
     return results

@@ -26,17 +26,10 @@ parent-side root merge. Every shape, every completion order, and warm
 vs cold pools yield the same bytes; the adversarial executor stub in
 ``tests/parallel/test_dataflow.py`` drives worst-case orders.
 
-Every task carries the rows it needs; workers of the persistent
+Every task carries the rows it needs; workers of a
 :class:`repro.parallel.pool.MiningPool` keep nothing between tasks.
-Passing ``touched_mask`` runs the *delta* contract — only closed
-itemsets whose tidset intersects the mask are returned, exactly like
-``fpclose(touched_mask=...)``; the parent projects each shard's rows
-onto the union of the touched rows' items (:func:`shard_rows`, shared
-with the in-process path) while thresholds still come from *full*
-shard sizes, so the pigeonhole guarantee is untouched. The delta path
-keeps the parent-side root merge: closures over projected rows would
-be wrong for the real database, so closure pushdown applies to full
-mines only (both paths compute the same mathematical set).
+The incremental engine's delta re-mine does not come through here: it
+always runs :func:`repro.mining.fpclose.fpclose` in-process.
 """
 
 from __future__ import annotations
@@ -49,7 +42,6 @@ from concurrent.futures.process import BrokenProcessPool
 
 from repro.errors import ConfigError, MiningError
 from repro.mining.bitsets import SupportOracle
-from repro.mining.fpclose import touched_universe
 from repro.mining.transactions import FrequentItemset, TransactionDatabase
 from repro.obs.metrics import get_registry
 from repro.parallel.merge import merge_shard_itemsets
@@ -104,7 +96,6 @@ def fpclose_sharded(
     plan: Sequence[Sequence[int]] | None = None,
     oracle: SupportOracle | None = None,
     pool: MiningPool | None = None,
-    touched_mask: int | None = None,
 ) -> list[FrequentItemset]:
     """Mine the global closed frequent itemsets via sharded workers.
 
@@ -112,14 +103,10 @@ def fpclose_sharded(
     :func:`repro.parallel.sharding.plan_shards`); when omitted, a
     round-robin partition into ``n_workers`` shards is used. A
     caller-owned :class:`~repro.parallel.pool.MiningPool` is used
-    as-is and never shut down here, so repeated mines reuse its worker
-    processes. ``touched_mask`` switches to the delta contract
-    described in the module docstring.
+    as-is and never shut down here.
     """
     registry = get_registry()
     n_transactions = len(database)
-    if touched_mask is not None and not touched_mask:
-        return []
     if plan is None:
         shards: ShardPlan = round_robin_shards(n_transactions, n_workers)
     else:
@@ -127,10 +114,7 @@ def fpclose_sharded(
     leaves = [(index, tuple(shard)) for index, shard in enumerate(shards) if shard]
     if not leaves:
         return []
-    universe = None
-    if touched_mask is not None:
-        universe = touched_universe(database, touched_mask)
-    leaf_rows = shard_rows(database, [tids for _index, tids in leaves], universe)
+    leaf_rows = shard_rows(database, [tids for _index, tids in leaves])
 
     if n_workers <= 1 or len(leaves) == 1:
         return _mine_serial(
@@ -138,7 +122,6 @@ def fpclose_sharded(
             min_support,
             max_len,
             oracle,
-            touched_mask,
             leaves,
             leaf_rows,
             registry,
@@ -158,7 +141,6 @@ def fpclose_sharded(
             min_support=min_support,
             max_len=max_len,
             oracle=oracle,
-            touched_mask=touched_mask,
             leaves=leaves,
             leaf_rows=leaf_rows,
             pool=pool,
@@ -173,30 +155,15 @@ def fpclose_sharded(
 
 
 def shard_rows(
-    database: TransactionDatabase,
-    shards: Sequence[Sequence[int]],
-    universe: frozenset[int] | None,
+    database: TransactionDatabase, shards: Sequence[Sequence[int]]
 ) -> list[tuple[tuple[int, ...], ...]]:
     """Each shard's rows as sorted item tuples, in tid order.
 
-    With a ``universe`` (a delta mine) every row is projected onto it
-    and rows left empty are dropped. The projection walks the universe
-    items' tidsets, so its cost tracks the touched neighbourhood rather
-    than the database. This is the one projection both the in-process
-    path and the worker tasks mine over.
+    These are the rows both the in-process path and the worker tasks
+    mine over.
     """
-    if universe is None:
-        return [
-            tuple(tuple(sorted(database[tid])) for tid in tids)
-            for tids in shards
-        ]
-    projected: dict[int, list[int]] = {}
-    for item in sorted(universe):
-        for tid in database.tidset(item):
-            projected.setdefault(tid, []).append(item)
     return [
-        tuple(tuple(projected[tid]) for tid in tids if tid in projected)
-        for tids in shards
+        tuple(tuple(sorted(database[tid])) for tid in tids) for tids in shards
     ]
 
 
@@ -205,7 +172,6 @@ def _mine_serial(
     min_support,
     max_len,
     oracle,
-    touched_mask,
     leaves,
     leaf_rows,
     registry,
@@ -235,7 +201,6 @@ def _mine_serial(
         min_support,
         max_len,
         oracle,
-        touched_mask,
         len(mined),
         registry,
     )
@@ -247,7 +212,6 @@ def _root_merge(
     min_support,
     max_len,
     oracle,
-    touched_mask,
     n_shards,
     registry,
 ):
@@ -259,7 +223,6 @@ def _root_merge(
             min_support,
             max_len=max_len,
             oracle=oracle,
-            touched_mask=touched_mask,
         )
         registry.emit(
             "parallel.merge",
@@ -324,7 +287,6 @@ class _ShardedMine:
         min_support,
         max_len,
         oracle,
-        touched_mask,
         leaves,
         leaf_rows,
         pool,
@@ -335,7 +297,6 @@ class _ShardedMine:
         self.min_support = min_support
         self.max_len = max_len
         self.oracle = oracle
-        self.touched_mask = touched_mask
         self.leaves = leaves
         self.leaf_rows = leaf_rows
         self.pool = pool
@@ -392,23 +353,16 @@ class _ShardedMine:
             self.mine_nodes.append(node)
             current.append(node)
 
-        # Full mines collapse to a single finalize node (closure
-        # pushdown); delta mines stop at two regions because the
-        # parent-side root merge must close over the *unprojected*
-        # database.
-        stop_at = 1 if self.touched_mask is None else 2
+        # The tree collapses to a single finalize node, which also runs
+        # the root's closure pass (closure pushdown).
         if self.pool_size >= 2:
-            while len(current) > stop_at:
+            while len(current) > 1:
                 merged_level: list[_Node] = []
                 for k in range(0, len(current) - 1, 2):
                     left, right = current[k], current[k + 1]
                     positions = tuple(left.groups[-1] + right.groups[-1])
                     size = left.size + right.size
-                    kind = (
-                        "finalize"
-                        if stop_at == 1 and len(current) == 2
-                        else "pair"
-                    )
+                    kind = "finalize" if len(current) == 2 else "pair"
                     threshold = (
                         self.min_support
                         if kind == "finalize"
@@ -606,7 +560,6 @@ class _ShardedMine:
             self.min_support,
             self.max_len,
             self.oracle,
-            self.touched_mask,
             len(self.leaves),
             self.registry,
         )

@@ -1,16 +1,14 @@
-"""Persistent mining pool: the process substrate of the dataflow miner.
+"""Mining pool: the process substrate of the dataflow miner.
 
 :class:`MiningPool` is the process-pool substrate of the dataflow
-scheduler in :mod:`repro.parallel.miner`. Unlike a bare
-``ProcessPoolExecutor`` it survives *across* mines, so repeated mines
-(``mediar watch`` batches, serving refreshes) reuse already-spawned
-worker processes instead of paying interpreter start-up every time.
+scheduler in :mod:`repro.parallel.miner`. A caller may pass one pool
+to several mines; ``fpclose_sharded`` otherwise spawns one per mine
+and shuts it down afterwards.
 
 Workers hold no state between tasks. Every task carries the rows it
 needs — a leaf's rows for a mine node, both children's rows for a pair
-node, the whole database for the finalize node — already projected by
-the parent onto the touched universe for delta mines. Any worker can
-run any task, so there is nothing for a task to miss.
+node, the whole database for the finalize node. Any worker can run any
+task, so there is nothing for a task to miss.
 
 A dead worker breaks the whole stdlib pool (``BrokenProcessPool``);
 :meth:`MiningPool.recover` replaces the executor wholesale, and the
@@ -127,7 +125,7 @@ def run_node(task: dict):
 
 
 class MiningPool:
-    """A persistent process pool for the dataflow miner.
+    """A reusable process pool for the dataflow miner.
 
     Parameters
     ----------

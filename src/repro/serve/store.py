@@ -197,11 +197,9 @@ class ResultStore:
         keep ONE long-lived ``SurveillanceMonitor`` next to the store
         and call this after each ``monitor.ingest(batch)``. The
         monitor's incremental engine carries the closed itemsets over
-        from batch to batch and re-mines only the delta, over a
-        persistent :class:`~repro.parallel.pool.MiningPool` whose
-        worker processes outlive each mine. Constructing a fresh
-        monitor per refresh works but forfeits both (every mine is a
-        full mine on a freshly spawned pool).
+        from batch to batch and re-mines only the delta, in-process.
+        Constructing a fresh monitor per refresh works but forfeits
+        that: every mine is a full mine.
         """
         return self.refresh(
             name, monitor.result, include_case_ids=include_case_ids

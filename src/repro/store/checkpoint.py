@@ -10,11 +10,9 @@ JSON form in a :class:`~repro.store.backend.Backend`:
   checkpoint written under a different fingerprint — silently mixing,
   say, two ``min_support`` values would produce a stream that matches
   *neither* config's one-shot run. ``n_workers`` and
-  ``shard_strategy`` are deliberately excluded: the engine's output is
-  byte-identical across worker counts (``tests/parallel`` and
-  ``tests/incremental/test_differential.py`` enforce it), so a stream
-  checkpointed at ``--workers 4`` may resume at ``--workers 1`` and
-  vice versa.
+  ``shard_strategy`` are deliberately excluded: the engine always mines
+  in-process and ignores both, so a stream checkpointed under
+  ``n_workers=4`` may resume under ``n_workers=1`` and vice versa.
 - :func:`checkpoint_monitor` commits the monitor's state. A backend
   keeps a checkpoint's records and seen case ids one row each, so a
   commit writes only the batch's change: the records appended or

@@ -10,6 +10,8 @@ modes × worker counts, over streams that interleave follow-up versions
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from repro.core.incremental import SurveillanceMonitor
@@ -81,13 +83,30 @@ class TestByteIdentity:
     def test_workers_do_not_perturb_output(
         self, stream, references, schedule, clean, n_workers
     ):
-        # Workers shard the (first-batch) rebuild mine, the batch
-        # normalization, AND every delta re-mine (fpclose_sharded with
-        # touched_mask); the export must not notice any of it.
+        # A worker count in the config must not reach the export: the
+        # engine ignores it and mines every batch in-process.
         result = run_incremental(
             stream, schedule, clean=clean, n_workers=n_workers
         )
         assert export_bytes(result) == export_bytes(references[clean])
+
+    @pytest.mark.parametrize("clean", [True, False])
+    @pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+    def test_engine_mines_in_process_at_any_worker_count(
+        self, stream, references, schedule, clean
+    ):
+        # n_workers shards one-shot mining only: the engine's rebuild
+        # (first batch) and every delta re-mine run in this process, so
+        # no worker process exists after any ingest.
+        config = MarasConfig(
+            min_support=MIN_SUPPORT, clean=clean, incremental=True, n_workers=2
+        )
+        with SurveillanceMonitor(config) as monitor:
+            for batch in split_schedule(stream, SCHEDULES[schedule]):
+                if batch:
+                    monitor.ingest(batch)
+                    assert multiprocessing.active_children() == []
+        assert export_bytes(monitor.result) == export_bytes(references[clean])
 
     def test_cleaning_stats_match_one_shot(self, stream, references):
         result = run_incremental(stream, "fine", clean=True)

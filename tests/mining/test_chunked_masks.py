@@ -18,7 +18,6 @@ from repro.mining.bitsets import (
     BLOCK_BITS,
     ChunkedItemMasks,
     chunk_and,
-    chunk_disjoint,
     chunk_mask,
     chunk_popcount,
     chunk_tids,
@@ -64,14 +63,6 @@ class TestChunkOps:
         for _ in range(10):
             mask = random_mask(rng, 0.5)
             assert chunk_popcount(chunk_mask(mask)) == mask.bit_count()
-
-    def test_disjoint_matches_int_test(self, rng):
-        for _ in range(20):
-            a, b = random_mask(rng, 0.2), random_mask(rng, 0.2)
-            assert chunk_disjoint(chunk_mask(a), chunk_mask(b)) == (
-                a & b == 0
-            )
-        assert chunk_disjoint(chunk_mask(0), chunk_mask(0))
 
     def test_tids_match_set_bits(self, rng):
         mask = random_mask(rng, 0.6)

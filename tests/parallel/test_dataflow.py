@@ -56,8 +56,8 @@ def build_db(rows) -> TransactionDatabase:
     return TransactionDatabase(tuple(rows), MiningCatalog(N_ITEMS))
 
 
-def serial_truth(database, **kwargs):
-    return canonical_itemset_order(fpclose(database, MIN_SUPPORT, **kwargs))
+def serial_truth(database):
+    return canonical_itemset_order(fpclose(database, MIN_SUPPORT))
 
 
 class InlinePool(MiningPool):
@@ -187,21 +187,6 @@ class TestWarmPools:
             )
         assert cold == expected
         assert warm == expected
-
-    def test_warm_delta_mine_matches_serial_delta(self):
-        database = build_db(build_rows(3))
-        mask = (1 << 5) | (1 << 17) | (1 << 40)
-        expected = serial_truth(database, touched_mask=mask)
-        with InlinePool("fifo") as pool:
-            fpclose_sharded(database, MIN_SUPPORT, n_workers=4, pool=pool)
-            got = fpclose_sharded(
-                database,
-                MIN_SUPPORT,
-                n_workers=4,
-                pool=pool,
-                touched_mask=mask,
-            )
-        assert got == expected
 
     def test_grown_database_remine_is_identical(self):
         rows = build_rows(5, n_rows=48)

@@ -7,9 +7,9 @@ the pathological corners through :func:`fpclose_sharded` and require
 byte-identity with the single-process miner every time: explicitly
 empty shards, one-row shards (local threshold forced to 1, so a shard's
 "locally frequent" output is every subset of its row), all-duplicate
-rows, more shards than transactions, and the delta (``touched_mask``)
-contract under sharding. A final test forces the unfused leaf+pair
-tree rounds that a 1-CPU box would normally coalesce away.
+rows and more shards than transactions. A final test forces the
+unfused leaf+pair tree rounds that a 1-CPU box would normally coalesce
+away.
 """
 
 from __future__ import annotations
@@ -94,44 +94,6 @@ class TestDegeneratePlans:
         db = make_db()
         sharded = fpclose_sharded(db, 2, max_len=max_len, n_workers=3)
         assert sharded == single(db, 2, max_len=max_len)
-
-
-class TestShardedDelta:
-    @pytest.mark.parametrize(
-        "touched",
-        [
-            (0,),
-            (5, 11),
-            (1, 3, 5, 7, 9),
-            tuple(range(len(ROWS))),
-        ],
-    )
-    def test_touched_mask_matches_single_process_delta(self, touched):
-        db = make_db()
-        mask = 0
-        for tid in touched:
-            mask |= 1 << tid
-        sharded = fpclose_sharded(
-            db, 2, n_workers=4, touched_mask=mask
-        )
-        assert sharded == canonical_itemset_order(
-            fpclose(db, 2, touched_mask=mask)
-        )
-
-    def test_zero_touched_mask_short_circuits(self):
-        db = make_db()
-        assert fpclose_sharded(db, 2, n_workers=4, touched_mask=0) == []
-
-    def test_delta_with_degenerate_plan(self):
-        db = make_db()
-        plan = tuple((tid,) for tid in range(len(db)))
-        mask = (1 << 2) | (1 << 8)
-        sharded = fpclose_sharded(
-            db, 2, n_workers=4, plan=plan, touched_mask=mask
-        )
-        assert sharded == canonical_itemset_order(
-            fpclose(db, 2, touched_mask=mask)
-        )
 
 
 class TestUnfusedTreePath:

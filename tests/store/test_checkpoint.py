@@ -184,9 +184,9 @@ class TestResumeGuards:
     def test_engine_cannot_checkpoint_before_first_batch(self):
         from repro.incremental.engine import IncrementalEngine
 
-        with IncrementalEngine(_config(False)) as engine:
-            with pytest.raises(StoreError, match="before the first batch"):
-                engine.checkpoint_state()
+        engine = IncrementalEngine(_config(False))
+        with pytest.raises(StoreError, match="before the first batch"):
+            engine.checkpoint_state()
 
 
 # -- per-batch commits: only what a batch changed ------------------------

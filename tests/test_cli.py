@@ -325,22 +325,10 @@ class TestRun:
 
 
 class TestWorkerValidation:
-    """run/watch/serve reject bad --workers with one line, no traceback."""
+    """run/serve reject bad --workers with one line, no traceback."""
 
     def test_run_absurd_workers_one_line(self, capsys):
         code, _, err = run(capsys, "run", *SYNTH, "--workers", "1000000")
-        assert code == 2
-        assert "n_workers must be <= 512" in err
-        assert len(err.strip().splitlines()) == 1
-
-    def test_watch_negative_workers_one_line(self, capsys):
-        code, _, err = run(capsys, "watch", *SYNTH, "--workers", "-3")
-        assert code == 2
-        assert err.startswith("error:") and "n_workers" in err
-        assert len(err.strip().splitlines()) == 1
-
-    def test_watch_absurd_workers_one_line(self, capsys):
-        code, _, err = run(capsys, "watch", *SYNTH, "--workers", "99999")
         assert code == 2
         assert "n_workers must be <= 512" in err
         assert len(err.strip().splitlines()) == 1
