@@ -21,18 +21,9 @@ from typing import Any
 
 from repro.core.ids import cluster_id
 from repro.core.pipeline import MarasResult
-from repro.core.ranking import RankingMethod, score_cluster
 from repro.errors import ConfigError, ValidationError
 
 FORMAT_VERSION = 1
-
-_EXPORT_METHODS = (
-    RankingMethod.CONFIDENCE,
-    RankingMethod.LIFT,
-    RankingMethod.EXCLUSIVENESS_CONFIDENCE,
-    RankingMethod.EXCLUSIVENESS_LIFT,
-    RankingMethod.IMPROVEMENT,
-)
 
 
 def export_result(
@@ -41,17 +32,8 @@ def export_result(
     """Serialize a pipeline result to a JSON-compatible dict."""
     catalog = result.catalog
     clusters = []
-    for cluster in result.clusters:
+    for cluster, scores in zip(result.clusters, result.cluster_scores()):
         target = cluster.target
-        scores = {
-            method.value: score_cluster(
-                cluster,
-                method,
-                theta=result.config.theta,
-                decay=result.config.decay,
-            )
-            for method in _EXPORT_METHODS
-        }
         record: dict[str, Any] = {
             "id": cluster.stable_id(catalog),
             "drugs": list(catalog.labels(target.antecedent)),
@@ -59,7 +41,7 @@ def export_result(
             "support": target.metrics.n_joint,
             "confidence": target.metrics.confidence,
             "lift": target.metrics.lift,
-            "scores": scores,
+            "scores": dict(scores),
             "context": [
                 {
                     "drugs": list(catalog.labels(rule.antecedent)),

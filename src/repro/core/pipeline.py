@@ -26,7 +26,13 @@ from dataclasses import dataclass
 
 from repro.core.association import DrugADRAssociation, SupportType
 from repro.core.context import MCAC, build_clusters
-from repro.core.ranking import RankedCluster, RankingMethod, rank_clusters, ranking_table
+from repro.core.ranking import (
+    RankedCluster,
+    RankingMethod,
+    rank_scored,
+    ranking_table,
+    score_cluster,
+)
 from repro.errors import ConfigError
 from repro.faers.cleaning import (
     CleaningStats,
@@ -265,12 +271,13 @@ class MarasResult:
         #: result; ``None`` unless the pipeline ran with a real
         #: :class:`~repro.obs.MetricsRegistry`.
         self.metrics = metrics
-        # Lazily-built per-kind query resolvers (search is called by
-        # concurrent server threads; the lock makes first-use
-        # construction happen exactly once, and the built resolvers are
+        # Lazily-built per-kind query resolvers and per-cluster scores
+        # (read by concurrent server threads; the lock makes first-use
+        # construction happen exactly once, and what it builds is
         # immutable thereafter).
-        self._resolver_lock = threading.Lock()
+        self._lock = threading.Lock()
         self._resolvers: dict[str, _KindResolver] = {}
+        self._scores: list[dict[str, float]] | None = None
 
     @property
     def catalog(self):
@@ -283,13 +290,37 @@ class MarasResult:
         top_k: int | None = None,
     ) -> list[RankedCluster]:
         """Rank this run's clusters under one method."""
-        return rank_clusters(
+        if not isinstance(method, RankingMethod):
+            raise ConfigError(f"unknown ranking method {method!r}")
+        return rank_scored(
             self.clusters,
-            method,
+            [scores[method.value] for scores in self.cluster_scores()],
             top_k=top_k,
-            theta=self.config.theta,
-            decay=self.config.decay,
         )
+
+    def cluster_scores(self) -> list[dict[str, float]]:
+        """Each cluster's score under every :class:`RankingMethod`.
+
+        Aligned with :attr:`clusters` and keyed by method value; computed
+        once per result, so ranking and export share one scoring pass.
+        Treat the dicts as read-only.
+        """
+        scores = self._scores
+        if scores is None:
+            with self._lock:
+                scores = self._scores
+                if scores is None:
+                    theta, decay = self.config.theta, self.config.decay
+                    scores = self._scores = [
+                        {
+                            method.value: score_cluster(
+                                cluster, method, theta=theta, decay=decay
+                            )
+                            for method in RankingMethod
+                        }
+                        for cluster in self.clusters
+                    ]
+        return scores
 
     def ranking_table(self, *, top_k: int = 5):
         """Table 5.2: the four rankings side by side."""
@@ -351,7 +382,7 @@ class MarasResult:
         resolver = self._resolvers.get(kind)
         if resolver is not None:
             return resolver
-        with self._resolver_lock:
+        with self._lock:
             resolver = self._resolvers.get(kind)
             if resolver is None:
                 normalizer = (

@@ -82,20 +82,35 @@ def rank_clusters(
     Ties break on (higher target support, fewer drugs, antecedent item
     ids) so equal-score rows order deterministically.
     """
-    if top_k is not None and top_k < 1:
-        raise ConfigError(f"top_k must be >= 1, got {top_k}")
-    scored = [
-        (score_cluster(cluster, method, theta=theta, decay=decay), cluster)
+    scores = [
+        score_cluster(cluster, method, theta=theta, decay=decay)
         for cluster in clusters
     ]
-    scored.sort(
+    return rank_scored(clusters, scores, top_k=top_k)
+
+
+def rank_scored(
+    clusters: Sequence[MCAC],
+    scores: Sequence[float],
+    *,
+    top_k: int | None = None,
+) -> list[RankedCluster]:
+    """Rank clusters by precomputed ``scores`` (aligned with ``clusters``).
+
+    The ordering of :func:`rank_clusters`, for callers that already
+    hold each cluster's score.
+    """
+    if top_k is not None and top_k < 1:
+        raise ConfigError(f"top_k must be >= 1, got {top_k}")
+    scored = sorted(
+        zip(scores, clusters),
         key=lambda pair: (
             -pair[0],
             -pair[1].target.metrics.n_joint,
             len(pair[1].target.antecedent),
             sorted(pair[1].target.antecedent),
             sorted(pair[1].target.consequent),
-        )
+        ),
     )
     if top_k is not None:
         scored = scored[:top_k]

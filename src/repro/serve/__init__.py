@@ -16,8 +16,9 @@ not re-run the miner. This package is that layer, stdlib-only:
 - :mod:`repro.serve.engine` — the transport-agnostic
   :class:`QueryEngine` (pagination, sort-by, filter floors, response
   cache, :mod:`repro.obs` accounting);
-- :mod:`repro.serve.bytecache` — precomputed response *bytes* + strong
-  ETags for the hot endpoints, so serving them never JSON-encodes;
+- :mod:`repro.serve.bytecache` — response *bytes* + strong ETags for
+  the hot endpoints, rendered once per snapshot on first request, so
+  serving them again never JSON-encodes;
 - :mod:`repro.serve.api` — the shared :class:`ApiResponder`: routing,
   conditional GETs, error mapping — one implementation behind both
   transports, which is why their bodies are byte-identical;

@@ -18,7 +18,8 @@ Request handling, in order:
    ``?run=a&run=b`` is a 400, never a silent last-value-wins.
 3. **byte cache** — id-addressed resources and default-shaped listing
    pages are answered from :class:`~repro.serve.bytecache`
-   precomputed bytes (``serve.responses.precomputed``); everything
+   precomputed bytes, rendered once per snapshot on first request
+   (``serve.responses.precomputed``); everything
    else goes through the :class:`~repro.serve.engine.QueryEngine` and
    is encoded per request (``serve.responses.encoded``).
 4. **conditional** — when the response carries a strong ETag and the
@@ -150,14 +151,16 @@ class ApiResponder:
         return response
 
     def warm(self) -> int:
-        """Precompute every registered run's byte table (server boot).
+        """Render every entry of every registered run's byte table.
 
-        Returns the number of precomputed entries, so callers can log
-        what the hot path was primed with.
+        Tables otherwise fill on demand, one entry per first request.
+        Server boot calls this before forking so every worker inherits
+        the whole table. Returns the number of precomputed entries, so
+        callers can log what the hot path was primed with.
         """
         store = self.engine.store
         return sum(
-            self.bytes.for_snapshot(store.get(name)).n_entries
+            self.bytes.for_snapshot(store.get(name)).warm()
             for name in store.names()
         )
 

@@ -204,12 +204,17 @@ def page_payload(snapshot, spec: dict[str, Any], view) -> dict[str, Any]:
     }
 
 
-def cluster_payload(snapshot, cluster_id: str) -> dict[str, Any]:
-    """One cluster by stable id (accepts the association alias too)."""
+def cluster_position(snapshot, cluster_id: str) -> int | None:
+    """The record position of a stable cluster id or its association alias."""
     lookup = cluster_id
     if lookup.startswith(f"{ASSOCIATION_PREFIX}-"):
         lookup = f"{CLUSTER_PREFIX}-{lookup.split('-', 1)[1]}"
-    position = snapshot.indexes.by_id.get(lookup)
+    return snapshot.indexes.by_id.get(lookup)
+
+
+def cluster_payload(snapshot, cluster_id: str) -> dict[str, Any]:
+    """One cluster by stable id (accepts the association alias too)."""
+    position = cluster_position(snapshot, cluster_id)
     if position is None:
         raise NotFoundError(
             f"unknown cluster {cluster_id!r} in run {snapshot.name!r}"

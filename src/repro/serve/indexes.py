@@ -4,7 +4,8 @@ Everything the query API can ask for — "clusters mentioning DRUG",
 "associations with ADR", "MCACs of this drug pair", "labels starting
 with asp" — is answered by probing a dict or bisecting a sorted token
 list built once when the run is registered. The hot path never scans
-the full cluster list; a linear scan only happens at build time.
+the full cluster list; a linear scan only happens at build time, and
+each best-first sort order once, on its first lookup.
 
 Positions, not objects: every index maps to positions into the run's
 record tuple, so intersecting two criteria is a cheap merge of sorted
@@ -15,7 +16,7 @@ endpoint needs.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from itertools import combinations
 from typing import Any
 
@@ -102,7 +103,10 @@ class RunIndexes:
         :data:`DEFAULT_SORT`, and every score name present in the
         records) → all positions, best-first with
         deterministic label tie-breaks. Unfiltered sorted queries are a
-        slice of one of these, no sorting at request time.
+        slice of one of these. The key set is fixed at build time; each
+        key's order is sorted on its first lookup (a
+        :class:`RankedOrders`), so a refreshed snapshot pays only for
+        the orders its requests read.
     prefixes:
         the :class:`PrefixTokenIndex` over drug and ADR labels.
     """
@@ -129,10 +133,9 @@ class RunIndexes:
         self.by_drug = _sorted_positions(by_drug)
         self.by_adr = _sorted_positions(by_adr)
         self.by_pair = _sorted_positions(by_pair)
-        self.order_by = {
-            key: _ranked_positions(records, key)
-            for key in (*BASE_SORT_KEYS, *sorted(score_names | {DEFAULT_SORT}))
-        }
+        self.order_by = RankedOrders(
+            records, (*BASE_SORT_KEYS, *sorted(score_names | {DEFAULT_SORT}))
+        )
         self.prefixes = PrefixTokenIndex(
             {"drug": by_drug.keys(), "adr": by_adr.keys()}
         )
@@ -168,7 +171,39 @@ def rank_positions(
     )
 
 
-def _ranked_positions(
-    records: Sequence[dict[str, Any]], key: str
-) -> tuple[int, ...]:
-    return tuple(rank_positions(records, range(len(records)), key))
+class RankedOrders(Mapping):
+    """Sort key → every record position best-first, sorted on first lookup.
+
+    A read-only mapping over a fixed key set: membership, iteration and
+    ``len`` never sort; ``order[key]`` sorts that key once and memoises
+    it. Concurrent first lookups of one key may both sort; the orders
+    are deterministic, so whichever is stored last is the same tuple.
+    """
+
+    __slots__ = ("_records", "_keys", "_orders")
+
+    def __init__(
+        self, records: Sequence[dict[str, Any]], keys: Iterable[str]
+    ) -> None:
+        self._records = records
+        self._keys = dict.fromkeys(keys)
+        self._orders: dict[str, tuple[int, ...]] = {}
+
+    def __getitem__(self, key: str) -> tuple[int, ...]:
+        order = self._orders.get(key)
+        if order is None:
+            if key not in self._keys:
+                raise KeyError(key)
+            records = self._records
+            order = tuple(rank_positions(records, range(len(records)), key))
+            self._orders[key] = order
+        return order
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._keys
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
+import pytest
+
 from repro.serve import PrefixTokenIndex, RunIndexes
 from repro.serve.indexes import intersect_sorted, rank_positions, sort_value
 
@@ -89,6 +91,21 @@ class TestRunIndexes:
             assert indexes.order_by[key] == tuple(
                 rank_positions(records, range(len(records)), key)
             )
+
+    def test_order_by_sorts_only_the_keys_looked_up(self):
+        indexes = RunIndexes(_records())
+        assert "lift" in indexes.order_by and "nope" not in indexes.order_by
+        assert list(indexes.order_by) == [
+            "support",
+            "confidence",
+            "lift",
+            "exclusiveness_confidence",
+        ]
+        assert indexes.order_by._orders == {}
+        with pytest.raises(KeyError):
+            indexes.order_by["nope"]
+        assert indexes.order_by["lift"] is indexes.order_by["lift"]
+        assert set(indexes.order_by._orders) == {"lift"}
 
     def test_sort_value_falls_back_to_zero_for_unknown_score(self):
         assert sort_value(_records()[0], "not_a_score") == 0.0
