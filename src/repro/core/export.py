@@ -29,35 +29,39 @@ FORMAT_VERSION = 1
 def export_result(
     result: MarasResult, *, include_case_ids: bool = True
 ) -> dict[str, Any]:
-    """Serialize a pipeline result to a JSON-compatible dict."""
-    catalog = result.catalog
+    """Serialize a pipeline result to a JSON-compatible dict.
+
+    Reads each cluster's :class:`~repro.core.records.ClusterRecord`
+    (:meth:`~repro.core.pipeline.MarasResult.records`), so ids, labels,
+    case ids and scores are derived once per result.
+    """
     clusters = []
-    for cluster, scores in zip(result.clusters, result.cluster_scores()):
-        target = cluster.target
-        record: dict[str, Any] = {
-            "id": cluster.stable_id(catalog),
-            "drugs": list(catalog.labels(target.antecedent)),
-            "adrs": list(catalog.labels(target.consequent)),
-            "support": target.metrics.n_joint,
-            "confidence": target.metrics.confidence,
-            "lift": target.metrics.lift,
-            "scores": dict(scores),
+    for record in result.records():
+        cluster = record.cluster
+        metrics = cluster.target.metrics
+        entry: dict[str, Any] = {
+            "id": record.id,
+            "drugs": list(record.drugs),
+            "adrs": list(record.adrs),
+            "support": metrics.n_joint,
+            "confidence": metrics.confidence,
+            "lift": metrics.lift,
+            "scores": dict(record.scores),
             "context": [
                 {
-                    "drugs": list(catalog.labels(rule.antecedent)),
+                    "drugs": list(drugs),
                     "cardinality": rule.cardinality,
                     "confidence": rule.metrics.confidence,
                     "lift": rule.metrics.lift,
                 }
-                for rule in cluster.all_context_rules()
+                for drugs, rule in zip(
+                    record.context_drugs, cluster.all_context_rules()
+                )
             ],
         }
         if include_case_ids:
-            tids = result.encoded.database.tidset_of(target.items)
-            record["case_ids"] = sorted(
-                result.encoded.case_id_of(tid) for tid in tids
-            )
-        clusters.append(record)
+            entry["case_ids"] = list(record.case_ids)
+        clusters.append(entry)
 
     stats = result.dataset.stats()
     return {

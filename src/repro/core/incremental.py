@@ -46,13 +46,11 @@ def cluster_key(result: MarasResult, cluster) -> ClusterKey:
     """A catalog-independent identity for a cluster: (drug labels, ADR labels).
 
     Item ids are not stable across re-encodings of a grown dataset, so
-    deltas are computed on label tuples.
+    deltas are computed on label tuples. The labels are read from the
+    cluster's record (:meth:`MarasResult.record_of`).
     """
-    catalog = result.catalog
-    return (
-        catalog.labels(cluster.target.antecedent),
-        catalog.labels(cluster.target.consequent),
-    )
+    record = result.record_of(cluster)
+    return (record.drugs, record.adrs)
 
 
 @dataclass(frozen=True, slots=True)

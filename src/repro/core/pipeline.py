@@ -31,8 +31,8 @@ from repro.core.ranking import (
     RankingMethod,
     rank_scored,
     ranking_table,
-    score_cluster,
 )
+from repro.core.records import ClusterRecord, build_record
 from repro.errors import ConfigError
 from repro.faers.cleaning import (
     CleaningStats,
@@ -259,6 +259,8 @@ class MarasResult:
         cleaning_stats: CleaningStats | None,
         rule_counts: RuleSpaceCounts | None,
         metrics: MetricsSnapshot | None = None,
+        *,
+        records: Sequence[ClusterRecord | None] | None = None,
     ) -> None:
         self.config = config
         self.dataset = dataset
@@ -271,13 +273,17 @@ class MarasResult:
         #: result; ``None`` unless the pipeline ran with a real
         #: :class:`~repro.obs.MetricsRegistry`.
         self.metrics = metrics
-        # Lazily-built per-kind query resolvers and per-cluster scores
+        # Lazily-built per-kind query resolvers and per-cluster records
         # (read by concurrent server threads; the lock makes first-use
         # construction happen exactly once, and what it builds is
-        # immutable thereafter).
+        # immutable thereafter). ``records`` seeds the ones a caller
+        # already holds, aligned with ``clusters``; None slots are
+        # built on first use.
         self._lock = threading.Lock()
         self._resolvers: dict[str, _KindResolver] = {}
-        self._scores: list[dict[str, float]] | None = None
+        self._seeds = records
+        self._records: list[ClusterRecord] | None = None
+        self._record_index: dict[frozenset[int], ClusterRecord] | None = None
 
     @property
     def catalog(self):
@@ -301,26 +307,54 @@ class MarasResult:
     def cluster_scores(self) -> list[dict[str, float]]:
         """Each cluster's score under every :class:`RankingMethod`.
 
-        Aligned with :attr:`clusters` and keyed by method value; computed
-        once per result, so ranking and export share one scoring pass.
-        Treat the dicts as read-only.
+        Aligned with :attr:`clusters` and keyed by method value; read
+        from :meth:`records`, so ranking and export share one scoring
+        pass. Treat the dicts as read-only.
         """
-        scores = self._scores
-        if scores is None:
+        return [record.scores for record in self.records()]
+
+    def records(self) -> list[ClusterRecord]:
+        """One :class:`~repro.core.records.ClusterRecord` per cluster.
+
+        Aligned with :attr:`clusters` (and :attr:`associations`); built
+        once per result, seeded slots first, so export, ranking and the
+        surveillance change feed derive ids, labels, case ids and
+        scores once. Treat the list as read-only.
+        """
+        records = self._records
+        if records is None:
             with self._lock:
-                scores = self._scores
-                if scores is None:
+                records = self._records
+                if records is None:
+                    seeds = self._seeds or [None] * len(self.clusters)
                     theta, decay = self.config.theta, self.config.decay
-                    scores = self._scores = [
-                        {
-                            method.value: score_cluster(
-                                cluster, method, theta=theta, decay=decay
-                            )
-                            for method in RankingMethod
-                        }
-                        for cluster in self.clusters
+                    records = self._records = [
+                        seed
+                        if seed is not None
+                        else build_record(
+                            association,
+                            cluster,
+                            self.encoded,
+                            theta=theta,
+                            decay=decay,
+                        )
+                        for seed, association, cluster in zip(
+                            seeds, self.associations, self.clusters
+                        )
                     ]
-        return scores
+                    self._seeds = None
+        return records
+
+    def record_of(self, cluster: MCAC) -> ClusterRecord:
+        """The record of one of this result's clusters (by target itemset)."""
+        index = self._record_index
+        if index is None:
+            index = {record.cluster.target.items: record for record in self.records()}
+            self._record_index = index
+        record = index.get(cluster.target.items)
+        if record is None:
+            raise ConfigError("cluster does not belong to this result")
+        return record
 
     def ranking_table(self, *, top_k: int = 5):
         """Table 5.2: the four rankings side by side."""

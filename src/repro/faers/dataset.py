@@ -100,10 +100,15 @@ class ReportDataset:
                 f"{duplicated}"
             )
         self.quarter = quarter or self._infer_quarter()
+        self._distinct: tuple[int, int] | None = None
 
     @classmethod
     def from_cleaned(
-        cls, reports: tuple[CaseReport, ...], quarter: str = ""
+        cls,
+        reports: tuple[CaseReport, ...],
+        quarter: str = "",
+        *,
+        distinct: tuple[int, int] | None = None,
     ) -> "ReportDataset":
         """Wrap reports known to have unique case ids, skipping the scan.
 
@@ -112,10 +117,14 @@ class ReportDataset:
         merge state is keyed by case id), so the per-batch result
         assembly uses this trusted path. ``quarter`` follows the same
         contract as ``__init__`` (empty string = no single quarter).
+        ``distinct`` is the (drug, ADR) name count :meth:`stats` would
+        otherwise rescan every report for, when the caller already
+        keeps it (:meth:`IncrementalEncoder.distinct_counts`).
         """
         self = cls.__new__(cls)
         self._reports = tuple(reports)
         self.quarter = quarter
+        self._distinct = distinct
         return self
 
     def _infer_quarter(self) -> str:
@@ -143,11 +152,14 @@ class ReportDataset:
 
     def stats(self) -> DatasetStats:
         """The Table 5.1 row for this dataset."""
+        if self._distinct is None:
+            self._distinct = (len(self.distinct_drugs()), len(self.distinct_adrs()))
+        n_drugs, n_adrs = self._distinct
         return DatasetStats(
             quarter=self.quarter,
             n_reports=len(self._reports),
-            n_drugs=len(self.distinct_drugs()),
-            n_adrs=len(self.distinct_adrs()),
+            n_drugs=n_drugs,
+            n_adrs=n_adrs,
         )
 
     def filter_report_type(self, report_type: ReportType) -> "ReportDataset":
@@ -190,6 +202,12 @@ class EncodingDelta:
     delta_items: set[int] = field(default_factory=set)
     appended_tids: list[int] = field(default_factory=list)
     updated_tids: list[int] = field(default_factory=list)  # items changed
+    #: Items an updated row gained or lost (a subset of ``delta_items``;
+    #: the rest come from appended rows).
+    updated_items: set[int] = field(default_factory=set)
+    #: Items whose label the batch renamed in place (drug/ADR collision
+    #: repair); their ids, rows and masks are unchanged.
+    renamed_items: set[int] = field(default_factory=set)
 
     @property
     def touched_mask(self) -> int:
@@ -238,6 +256,8 @@ class IncrementalEncoder:
         self.catalog = ItemCatalog()
         self.database = GrowableTransactionDatabase([], self.catalog)
         self._drug_labels: set[str] = set()
+        self._adr_terms: set[str] = set()
+        self._renamed: set[int] = set()
         self._unsuffixed_adr_item: dict[str, int] = {}
         self._first_row: list[int] = []  # item id → first tid containing it
         self._row_reports: list[CaseReport] = []
@@ -252,6 +272,16 @@ class IncrementalEncoder:
     def quarter(self) -> str:
         """Same contract as ``ReportDataset._infer_quarter``."""
         return next(iter(self._quarters)) if len(self._quarters) == 1 else ""
+
+    def distinct_counts(self) -> tuple[int, int]:
+        """Distinct drug names and reaction terms over the encoded rows.
+
+        The counts :meth:`ReportDataset.stats` reports, kept as rows are
+        encoded instead of rescanned. Exact because an applied update
+        never drops a name from its row (the merge is a union, and
+        :meth:`rebuild_reason` rejects a row that loses items).
+        """
+        return len(self._drug_labels), len(self._adr_terms)
 
     def encode_rows(self, reports: Iterable[CaseReport]) -> list[set[int]]:
         """Assign ids to ``reports`` as the next rows; return their items.
@@ -272,7 +302,9 @@ class IncrementalEncoder:
                 item = self._unsuffixed_adr_item.pop(drug, None)
                 if item is not None:
                     catalog.rename_label(item, drug + _COLLISION_SUFFIX)
+                    self._renamed.add(item)
             row.add(catalog.add(drug, DRUG_KIND))
+        self._adr_terms.update(report.adrs)
         for adr in report.adrs:
             if adr in drug_labels:
                 row.add(catalog.add(adr + _COLLISION_SUFFIX, ADR_KIND))
@@ -323,19 +355,23 @@ class IncrementalEncoder:
     def apply(self, delta: CleaningDelta) -> EncodingDelta:
         """Mutate the encoding in place (call :meth:`rebuild_reason` first)."""
         effect = EncodingDelta()
+        self._renamed = set()
         for report in delta.updated:
             tid = self._tid_by_case[report.case_id]
             row = {self._known_item(drug, DRUG_KIND) for drug in report.drugs}
             row.update(self._known_item(adr, ADR_KIND) for adr in report.adrs)
             added, removed = self.database.update_row(tid, row)
             self._row_reports[tid] = report
+            self._adr_terms.update(report.adrs)
             if added or removed:
-                effect.delta_items |= added | removed
+                effect.updated_items |= added | removed
                 effect.updated_tids.append(tid)
+        effect.delta_items |= effect.updated_items
         for report in delta.appended:
             row = self._encode_row(report)
             effect.appended_tids.append(self.database.append_row(row))
             effect.delta_items |= row
+        effect.renamed_items = self._renamed
         return effect
 
     def rebuild(self, reports: Iterable[CaseReport]) -> None:

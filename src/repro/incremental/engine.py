@@ -29,9 +29,15 @@ surveillance stream and turns each ingested batch into a full
    previous batch (entries disjoint from the delta's item universe keep
    their counts), support types of carried itemsets are reused
    (classification reads only the containing transactions, which did
-   not change), and whole rule/association/cluster triples are reused
-   when the transaction count is unchanged too (metrics embed
-   ``n_total``).
+   not change), and each cluster's
+   :class:`~repro.core.records.ClusterRecord` (counts, support type,
+   id, labels, case ids, scores) is carried when no drug of the itemset
+   is a delta item. Only its ``n_total``-dependent side — support,
+   lift, leverage, conviction and the two lift scores — is rebuilt, with
+   one supp(Y) query when an ADR of it is touched; a record holding a
+   renamed label is rebuilt whole. The result reads the carried records
+   (:meth:`~repro.core.pipeline.MarasResult.records`), so the ranking,
+   the change feed and the export do not recompute them.
 
 Any batch the in-place invariants cannot absorb — a kept/dropped status
 flip in cleaning, a catalog-order violation in encoding, or a delta
@@ -55,12 +61,14 @@ from repro.core.association import (
 )
 from repro.core.context import MCAC, build_cluster
 from repro.core.pipeline import MarasConfig, MarasResult
+from repro.core.records import ClusterRecord, remeasure
 from repro.errors import ConfigError, StoreError
 from repro.faers.cleaning import CleaningDelta, IncrementalCleaner
 from repro.faers.dataset import (
     ADR_KIND,
     DRUG_KIND,
     EncodedDataset,
+    EncodingDelta,
     IncrementalEncoder,
     ReportDataset,
 )
@@ -77,12 +85,6 @@ from repro.mining.transactions import (
     resolve_min_support,
 )
 from repro.obs import NULL_REGISTRY, use_registry
-
-# (rule, association, cluster) of one closed itemset; any slot may be
-# None when the itemset yields no drug→ADR rule / no multi-drug rule.
-_Artifacts = tuple[
-    AssociationRule | None, DrugADRAssociation | None, MCAC | None
-]
 
 
 class IncrementalEngine:
@@ -109,9 +111,10 @@ class IncrementalEngine:
         self._encoder = IncrementalEncoder()
         self._closed: list[FrequentItemset] = []
         self._oracle: SupportOracle | None = None
-        self._artifacts: dict[Itemset, _Artifacts] = {}
-        self._support_types: dict[Itemset, SupportType] = {}
-        self._n_rows_prev = 0
+        # Closed itemsets of the last batch that yield no cluster:
+        # True when they still yield a drug→ADR rule (counted in
+        # n_rules). The clustered ones live in the result's records.
+        self._unclustered: dict[Itemset, bool] = {}
         self._result: MarasResult | None = None
         # Records the last durable checkpoint held (see checkpoint_state).
         self._n_records_committed = 0
@@ -138,8 +141,8 @@ class IncrementalEngine:
         exactly what :func:`~repro.mining.fpclose.fpclose` mines from
         that rebuild. Only the counters and the ``records`` persist: the
         cleaner's merged reports, or the raw kept rows in no-clean
-        mode, by position. The closed set, support oracle, per-itemset
-        artifacts and the result are recomputed on restore.
+        mode, by position. The closed set, support oracle, cluster
+        records and the result are recomputed on restore.
 
         With ``delta``, ``records`` holds only the positions appended or
         updated since the last :meth:`checkpoint_committed`.
@@ -177,7 +180,7 @@ class IncrementalEngine:
         The resumed engine is observably identical to the one that wrote
         the checkpoint: the kept reports are re-encoded and re-mined
         through the full-rebuild path (the rebuild ≡ in-place
-        invariant), and downstream artifacts are recomputed through the
+        invariant), and the cluster records are recomputed through the
         exact code path that produced them.
         """
         engine = cls(config, registry=registry)
@@ -311,7 +314,8 @@ class IncrementalEngine:
                 closed,
                 oracle,
                 carried_keys=frozenset(),
-                reuse_artifacts=False,
+                previous=(),
+                effect=None,
                 registry=registry,
                 stats=stats,
             )
@@ -320,6 +324,10 @@ class IncrementalEngine:
 
     def _run_delta(self, delta: CleaningDelta, registry, stats) -> None:
         config = self.config
+        assert self._result is not None
+        # The previous records are derived from the catalog and database
+        # the encoder is about to mutate: build any still missing first.
+        previous = self._result.records()
         with registry.timer("incremental.encode"):
             effect = self._encoder.apply(delta)
         database = self._encoder.database
@@ -343,7 +351,8 @@ class IncrementalEngine:
                     self._closed,
                     self._oracle,
                     carried_keys={fi.items for fi in self._closed},
-                    reuse_artifacts=len(database) == self._n_rows_prev,
+                    previous=previous,
+                    effect=effect,
                     registry=registry,
                     stats=stats,
                 )
@@ -392,8 +401,8 @@ class IncrementalEngine:
                 closed,
                 oracle,
                 carried_keys={fi.items for fi in carried},
-                reuse_artifacts=len(database) == self._n_rows_prev,
-                delta_items=frozenset(effect.delta_items),
+                previous=previous,
+                effect=effect,
                 registry=registry,
                 stats=stats,
             )
@@ -406,94 +415,128 @@ class IncrementalEngine:
         oracle: SupportOracle,
         *,
         carried_keys: frozenset[Itemset] | set[Itemset],
-        reuse_artifacts: bool,
-        delta_items: frozenset[int] = frozenset(),
+        previous: Sequence[ClusterRecord],
+        effect: EncodingDelta | None,
         registry,
         stats: dict[str, object],
     ) -> None:
+        """Rules, associations and cluster records of the new closed list.
+
+        ``previous`` are the last result's records and ``effect`` the
+        batch's encoding delta (``None`` on a rebuild: nothing carries).
+        A cluster's counts are the supports of its itemset, of every
+        antecedent subset alone and joined with the consequent, and of
+        the consequent Y; its support type reads only the transactions
+        containing the itemset, so it is unchanged for a carried itemset
+        (contained in no touched row). A subset's support moves only
+        through a row whose changed items meet the subset: an appended
+        row (all its items are delta items) or the items an updated row
+        gained or lost. So when no drug of a carried itemset is a delta
+        item and no item of it was changed by an updated row, every
+        count but supp(Y) is unchanged, and when none of its items is a
+        delta item, supp(Y) is too. Such a record keeps its counts, id,
+        labels, case ids and confidence-side scores;
+        :func:`~repro.core.records.remeasure` rebuilds the
+        ``n_total``/supp(Y) side. A record holding a renamed item, and
+        every other cluster, is built afresh.
+        """
         config = self.config
+        theta, decay = config.theta, config.decay
         database = self._encoder.database
         catalog = database.catalog
         antecedent_ids = catalog.ids_of_kind(DRUG_KIND)
         consequent_ids = catalog.ids_of_kind(ADR_KIND)
         n_total = len(database)
 
-        artifacts: dict[Itemset, _Artifacts] = {}
-        support_types: dict[Itemset, SupportType] = {}
+        if effect is None:
+            carried_records: dict[Itemset, ClusterRecord] = {}
+            carried_flags: dict[Itemset, bool] = {}
+            delta_items = updated_items = renamed = frozenset()
+        else:
+            carried_records = {
+                record.cluster.target.items: record for record in previous
+            }
+            carried_flags = self._unclustered
+            delta_items = effect.delta_items
+            updated_items = effect.updated_items
+            renamed = effect.renamed_items
+
+        unclustered: dict[Itemset, bool] = {}
         associations: list[DrugADRAssociation] = []
         clusters: list[MCAC] = []
+        seeds: list[ClusterRecord | None] = []
         n_rules = 0
-        artifacts_carried = 0
+        n_carried = 0
+        n_requeried = 0
         support_types_carried = 0
 
         for fi in closed:
             key = fi.items
-            entry: _Artifacts | None = None
-            if (
-                reuse_artifacts
-                and key in carried_keys
-                and key.isdisjoint(delta_items)
-            ):
-                # Rule metrics and cluster levels are functions of the
-                # supports of *subsets* of the itemset (antecedent
-                # subsets, the consequent) plus n_total. A subset's
-                # support can rise even when the carried itemset's own
-                # tidset is untouched — a follow-up adding one item to
-                # a row grows every subset that row now covers — so the
-                # whole triple is reusable only when the itemset is
-                # also disjoint from the delta's item universe (then no
-                # subset can reach a changed row) and n_total is
-                # unchanged.
-                entry = self._artifacts.get(key)
-                if entry is not None:
-                    artifacts_carried += 1
-            if entry is None:
-                # Inline per-itemset partitioned_rules: same math, but
-                # the kind partitions are hoisted out of the loop.
-                antecedent = key & antecedent_ids
-                consequent = key & consequent_ids
-                rule: AssociationRule | None = None
-                if (
-                    antecedent
-                    and consequent
-                    and antecedent | consequent == key
+            if key in carried_keys:
+                requery = not key.isdisjoint(delta_items)
+                if not requery or (
+                    key.isdisjoint(updated_items)
+                    and (key & delta_items).isdisjoint(antecedent_ids)
                 ):
-                    metrics = RuleMetrics.from_counts(
-                        n_joint=fi.support,
-                        n_antecedent=oracle.support(antecedent),
-                        n_consequent=oracle.support(consequent),
-                        n_total=n_total,
-                    )
-                    if metrics.confidence >= config.min_confidence:
-                        rule = AssociationRule(antecedent, consequent, metrics)
-                if rule is None:
-                    entry = (None, None, None)
-                elif not 2 <= len(rule.antecedent) <= config.max_drugs:
-                    entry = (rule, None, None)
-                else:
-                    if key in carried_keys and key in self._support_types:
-                        # Support-type classification reads only the
-                        # containing transactions — untouched for a
-                        # carried itemset even when n_total changed.
-                        support_type = self._support_types[key]
-                        support_types_carried += 1
-                    else:
-                        support_type = classify_support(
-                            database, key, oracle=oracle
+                    record = carried_records.get(key)
+                    if record is not None and key.isdisjoint(renamed):
+                        target = record.cluster.target
+                        if requery:
+                            n_consequent = oracle.support(target.consequent)
+                            n_requeried += 1
+                        else:
+                            n_consequent = target.metrics.n_consequent
+                        record = remeasure(
+                            record,
+                            n_consequent=n_consequent,
+                            n_total=n_total,
+                            theta=theta,
+                            decay=decay,
                         )
-                    association = DrugADRAssociation(
-                        rule=rule, support_type=support_type
-                    )
-                    cluster = build_cluster(rule, database, oracle=oracle)
-                    entry = (rule, association, cluster)
-            artifacts[key] = entry
-            rule, association, cluster = entry
-            if rule is not None:
-                n_rules += 1
-            if association is not None:
-                associations.append(association)
-                clusters.append(cluster)
-                support_types[key] = association.support_type
+                        n_carried += 1
+                        n_rules += 1
+                        associations.append(record.association)
+                        clusters.append(record.cluster)
+                        seeds.append(record)
+                        continue
+                    is_rule = carried_flags.get(key)
+                    if is_rule is not None:
+                        n_carried += 1
+                        n_rules += is_rule
+                        unclustered[key] = is_rule
+                        continue
+            # Inline per-itemset partitioned_rules: same math, but the
+            # kind partitions are hoisted out of the loop.
+            antecedent = key & antecedent_ids
+            consequent = key & consequent_ids
+            rule: AssociationRule | None = None
+            if antecedent and consequent and antecedent | consequent == key:
+                metrics = RuleMetrics.from_counts(
+                    n_joint=fi.support,
+                    n_antecedent=oracle.support(antecedent),
+                    n_consequent=oracle.support(consequent),
+                    n_total=n_total,
+                )
+                if metrics.confidence >= config.min_confidence:
+                    rule = AssociationRule(antecedent, consequent, metrics)
+            if rule is None:
+                unclustered[key] = False
+                continue
+            n_rules += 1
+            if not 2 <= len(rule.antecedent) <= config.max_drugs:
+                unclustered[key] = True
+                continue
+            record = carried_records.get(key)
+            if record is not None and key in carried_keys:
+                support_type = record.association.support_type
+                support_types_carried += 1
+            else:
+                support_type = classify_support(database, key, oracle=oracle)
+            associations.append(
+                DrugADRAssociation(rule=rule, support_type=support_type)
+            )
+            clusters.append(build_cluster(rule, database, oracle=oracle))
+            seeds.append(None)
 
         unsupported = [
             a for a in associations if a.support_type is SupportType.UNSUPPORTED
@@ -504,17 +547,22 @@ class IncrementalEngine:
                 "as unsupported; Lemma 3.4.2 violated"
             )
 
-        registry.counter("incremental.artifacts_carried").inc(artifacts_carried)
+        registry.counter("incremental.artifacts_carried").inc(n_carried)
+        registry.counter("incremental.consequents_requeried").inc(n_requeried)
         registry.counter("incremental.support_types_carried").inc(
             support_types_carried
         )
-        stats["artifacts_carried"] = artifacts_carried
+        stats["artifacts_carried"] = n_carried
+        stats["consequents_requeried"] = n_requeried
         stats["support_types_carried"] = support_types_carried
         stats["n_rules"] = n_rules
         stats["n_associations"] = len(associations)
 
+        encoder = self._encoder
         dataset = ReportDataset.from_cleaned(
-            tuple(self._encoder.row_reports), self._encoder.quarter()
+            tuple(encoder.row_reports),
+            encoder.quarter(),
+            distinct=encoder.distinct_counts(),
         )
         encoded = EncodedDataset(
             database,
@@ -532,9 +580,8 @@ class IncrementalEngine:
             ),
             rule_counts=None,
             metrics=registry.snapshot() if registry.enabled else None,
+            records=seeds,
         )
         self._closed = list(closed)
         self._oracle = oracle
-        self._artifacts = artifacts
-        self._support_types = support_types
-        self._n_rows_prev = n_total
+        self._unclustered = unclustered

@@ -108,8 +108,11 @@ def fpclose(
         whose tidset intersects it. The empty itemset is never
         returned, even when no item is universal.
 
-    Counters (flushed once per call): ``fpclose.branches`` (search
-    nodes expanded), ``fpclose.closure_calls`` (closures computed),
+    Counters (flushed once per call): ``fpclose.rows_projected`` (rows
+    projected onto item ranks: every row, or under ``touched_mask`` only
+    the rows holding a frequent item of the touched universe),
+    ``fpclose.branches`` (search nodes expanded),
+    ``fpclose.closure_calls`` (closures computed),
     ``fpclose.closed_itemsets``, ``fpclose.delta_subtrees_skipped`` and
     ``fpclose.closure_item_checks`` — the item occurrences visited:
     every occurrence delivered into a bucket, plus one probe per
@@ -145,10 +148,25 @@ def fpclose(
         rank = rank_of.__getitem__
         # Each row projected onto the ascending ranks of its frequent
         # items, so bisect finds the ranks above a core.
-        rows: list[list[int]] = [
-            sorted(map(rank, rank_of.keys() & transaction))
-            for transaction in database
-        ]
+        if touched is None:
+            rows: list[list[int]] = [
+                sorted(map(rank, rank_of.keys() & transaction))
+                for transaction in database
+            ]
+            n_projected = n_transactions
+        else:
+            # Only rows holding a frequent item of the touched universe
+            # can reach a bucket; the rest keep the (shared, never
+            # mutated) empty projection.
+            masks = database.item_masks()
+            reached = 0
+            for item in order:
+                reached |= masks[item]
+            reached_tids = _mask_tids(reached, n_transactions)
+            rows = [[]] * n_transactions
+            for tid in reached_tids:
+                rows[tid] = sorted(map(rank, rank_of.keys() & database[tid]))
+            n_projected = len(reached_tids)
         row_of = rows.__getitem__
 
         results: list[FrequentItemset] = []
@@ -225,6 +243,7 @@ def fpclose(
                     results.append(FrequentItemset(items, support))
                     if max_len is None or len(closed) < max_len:
                         stack.append((closed, ext, r))
+        registry.counter("fpclose.rows_projected").inc(n_projected)
         registry.counter("fpclose.branches").inc(n_branches)
         registry.counter("fpclose.closure_calls").inc(n_closures)
         if n_skipped:

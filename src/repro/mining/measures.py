@@ -154,19 +154,40 @@ class RuleMetrics:
         n_consequent: int,
         n_total: int,
     ) -> "RuleMetrics":
-        """Compute every measure once from the four underlying counts."""
+        """Compute every measure once from the four underlying counts.
+
+        The counts are validated once; each measure is then the same
+        expression, with the same zero and ``inf`` cases, as its
+        standalone function (which validates on its own).
+        """
         _validate_counts(n_joint, n_antecedent, n_consequent, n_total)
+        if n_antecedent == 0:
+            conf = lift_ = conviction_ = 0.0
+        else:
+            conf = n_joint / n_antecedent
+            lift_ = (
+                0.0
+                if n_consequent == 0
+                else (n_joint * n_total) / (n_antecedent * n_consequent)
+            )
+            conviction_ = (
+                math.inf
+                if conf >= 1.0
+                else (1.0 - n_consequent / n_total) / (1.0 - conf)
+            )
+        union = n_antecedent + n_consequent - n_joint
         return cls(
             n_joint=n_joint,
             n_antecedent=n_antecedent,
             n_consequent=n_consequent,
             n_total=n_total,
-            support=support_fraction(n_joint, n_total),
-            confidence=confidence(n_joint, n_antecedent),
-            lift=lift(n_joint, n_antecedent, n_consequent, n_total),
-            leverage=leverage(n_joint, n_antecedent, n_consequent, n_total),
-            conviction=conviction(n_joint, n_antecedent, n_consequent, n_total),
-            jaccard=jaccard(n_joint, n_antecedent, n_consequent),
+            support=n_joint / n_total,
+            confidence=conf,
+            lift=lift_,
+            leverage=n_joint / n_total
+            - (n_antecedent / n_total) * (n_consequent / n_total),
+            conviction=conviction_,
+            jaccard=n_joint / union if union > 0 else 0.0,
         )
 
     def value(self, measure: str) -> float:

@@ -3,8 +3,9 @@
 Each layer's in-place maintenance is checked against its from-scratch
 counterpart: the growable database against a fresh encode, the
 incremental cleaner against ``ReportCleaner``, the delta-restricted
-miner against a filtered full mine, and the encoder's rebuild triggers
-against hand-built deltas that violate each in-place invariant.
+miner against a filtered full mine, the encoder's rebuild triggers
+against hand-built deltas that violate each in-place invariant, and
+each cluster-record carry path against a one-shot run.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ import random
 
 import pytest
 
-from repro.core.pipeline import MarasConfig
+from repro.core.ids import cluster_id
+from repro.core.incremental import cluster_key
+from repro.core.pipeline import Maras, MarasConfig
 from repro.errors import ConfigError, MiningError
 from repro.faers.cleaning import ReportCleaner
 from repro.faers.schema import CaseReport
@@ -21,6 +24,7 @@ from repro.incremental import (
     CleaningDelta,
     IncrementalCleaner,
     IncrementalEncoder,
+    IncrementalEngine,
     carry_closed_itemsets,
 )
 from repro.mining.bitsets import BitsetIndex, SupportOracle
@@ -32,7 +36,7 @@ from repro.mining.transactions import (
     canonical_itemset_order,
 )
 
-from tests.incremental.streams import make_stream, split_schedule
+from tests.incremental.streams import export_bytes, make_stream, split_schedule
 
 
 def random_rows(rng, n_rows, n_items=9):
@@ -342,3 +346,89 @@ class TestConfigValidation:
     def test_rebuild_fraction_bounds(self, fraction):
         with pytest.raises(ConfigError, match="rebuild_fraction"):
             MarasConfig(incremental_rebuild_fraction=fraction)
+
+
+class TestRecordCarry:
+    """Each way a cluster record crosses a batch, against a one-shot run."""
+
+    @staticmethod
+    def _rows(drugs, adrs, n, prefix):
+        # Distinct filler drugs keep the rows out of one duplicate
+        # signature group, so the cleaner keeps every one of them.
+        return [
+            CaseReport.build(
+                f"{prefix}{k}", [*drugs, f"{prefix}F{k}"], adrs, quarter="2014Q1"
+            )
+            for k in range(n)
+        ]
+
+    @staticmethod
+    def _engine(clean=False):
+        return IncrementalEngine(
+            MarasConfig(min_support=2, clean=clean, incremental=True)
+        )
+
+    @staticmethod
+    def _record(result, drugs, adrs):
+        (record,) = [
+            r for r in result.records() if (r.drugs, r.adrs) == (drugs, adrs)
+        ]
+        return record
+
+    def test_cluster_touched_only_at_its_adr_rebuilds_the_lift_side(self):
+        base = self._rows(["D1", "D2"], ["A1"], 6, "c") + self._rows(
+            ["D3"], ["B1"], 3, "e"
+        )
+        batch = self._rows(["D3"], ["A1"], 1, "n")
+        engine = self._engine()
+        before = self._record(engine.ingest(base), ("D1", "D2"), ("A1",))
+        result = engine.ingest(batch)
+        assert engine.last_batch_stats["rebuild_reason"] is None
+        assert engine.last_batch_stats["consequents_requeried"] >= 1
+        after = self._record(result, ("D1", "D2"), ("A1",))
+        # Counts, labels, id and case ids carry; supp(A1) and n_total
+        # moved, so the lift side was rebuilt.
+        assert after.case_ids is before.case_ids
+        assert after.id == before.id
+        target, old = after.cluster.target.metrics, before.cluster.target.metrics
+        assert (target.n_joint, target.n_antecedent) == (old.n_joint, old.n_antecedent)
+        assert (old.n_consequent, old.n_total) == (6, 9)
+        assert (target.n_consequent, target.n_total) == (7, 10)
+        assert after.scores["confidence"] == before.scores["confidence"]
+        assert after.scores["lift"] != before.scores["lift"]
+        one_shot = Maras(MarasConfig(min_support=2, clean=False)).run(base + batch)
+        assert export_bytes(result) == export_bytes(one_shot)
+
+    def test_renamed_adr_label_rebuilds_the_carried_record(self):
+        base = self._rows(["D1", "D2"], ["NAUSEA"], 6, "c")
+        batch = self._rows(["NAUSEA"], ["RASH"], 1, "n")
+        engine = self._engine()
+        before = self._record(engine.ingest(base), ("D1", "D2"), ("NAUSEA",))
+        result = engine.ingest(batch)
+        assert engine.last_batch_stats["rebuild_reason"] is None
+        adrs = ("NAUSEA (REACTION)",)
+        after = self._record(result, ("D1", "D2"), adrs)
+        assert after.id == cluster_id(("D1", "D2"), adrs) != before.id
+        assert cluster_key(result, after.cluster) == (("D1", "D2"), adrs)
+        one_shot = Maras(MarasConfig(min_support=2, clean=False)).run(base + batch)
+        assert export_bytes(result) == export_bytes(one_shot)
+
+    def test_metadata_only_follow_up_carries_every_record(self):
+        base = self._rows(["D1", "D2"], ["A1"], 6, "c")
+        follow_up = CaseReport.build(
+            "c1", base[1].drugs, base[1].adrs, quarter="2014Q1",
+            event_date="2014-02-05",
+        )
+        engine = self._engine(clean=True)
+        (before,) = engine.ingest(base).records()
+        result = engine.ingest([follow_up])
+        stats = engine.last_batch_stats
+        assert stats["rebuild_reason"] is None
+        assert stats["n_mined"] == 0
+        assert stats["artifacts_carried"] == stats["n_closed"]
+        (after,) = result.records()
+        assert after is before
+        one_shot = Maras(MarasConfig(min_support=2, clean=True)).run(
+            base + [follow_up]
+        )
+        assert export_bytes(result) == export_bytes(one_shot)

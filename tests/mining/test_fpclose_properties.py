@@ -3,6 +3,7 @@
 - The ``touched_mask`` contract as a hypothesis property: a restricted
   mine returns exactly the closed itemsets of the unrestricted mine
   whose tidset meets the mask, at every ``max_len``.
+- A restricted mine projects only the rows that can reach a bucket.
 - Edge shapes checked against :func:`fpclose_reference`: a threshold
   equal to the database size, all-identical rows, items present in
   every row, and a ``max_len`` below the size of the root closure.
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.mining.fpclose import fpclose, fpclose_reference
+from repro.obs import MetricsRegistry, use_registry
 from repro.mining.transactions import TransactionDatabase
 
 ITEMS = [f"i{k}" for k in range(8)]
@@ -121,3 +123,22 @@ def test_out_of_range_mask_bits_are_ignored():
     assert as_pairs(fpclose(database, 1, touched_mask=(1 << 5) | 1)) == as_pairs(
         fpclose(database, 1, touched_mask=1)
     )
+
+
+def test_restricted_mine_projects_only_reached_rows():
+    # Rows 4 and 5 alone hold the rare items x and y, and no other row
+    # shares an item with them: a mask touching row 4 projects just
+    # those two rows.
+    database = TransactionDatabase.from_labelled(
+        [["a", "b"], ["a", "b"], ["a", "c"], ["b", "c"], ["x", "y"], ["x", "y"]]
+    )
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        restricted = fpclose(database, 1, touched_mask=1 << 4)
+    assert as_pairs(restricted) == {
+        pair
+        for pair in as_pairs(fpclose(database, 1))
+        if pair[0] <= database[4]
+    }
+    projected = registry.snapshot().counters["fpclose.rows_projected"]
+    assert projected == 2 < len(database)

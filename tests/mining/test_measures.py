@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigError
 from repro.mining.measures import (
@@ -145,3 +146,58 @@ class TestRuleMetrics:
         metrics = RuleMetrics.from_counts(10, 20, 40, 200)
         with pytest.raises(ConfigError, match="unknown measure"):
             metrics.value("sorcery")
+
+
+@st.composite
+def valid_counts(draw):
+    n_total = draw(st.integers(1, 10_000))
+    n_antecedent = draw(st.integers(0, n_total))
+    n_consequent = draw(st.integers(0, n_total))
+    n_joint = draw(st.integers(0, min(n_antecedent, n_consequent)))
+    return n_joint, n_antecedent, n_consequent, n_total
+
+
+def bits(value) -> str:
+    return float(value).hex()
+
+
+class TestFromCountsMatchesMeasureFunctions:
+    """``from_counts`` validates once and inlines each measure; every
+    field must still equal the standalone function bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(valid_counts())
+    def test_every_field_equals_its_function(self, counts):
+        n_joint, n_antecedent, n_consequent, n_total = counts
+        metrics = RuleMetrics.from_counts(*counts)
+        expected = {
+            "support": support_fraction(n_joint, n_total),
+            "confidence": confidence(n_joint, n_antecedent),
+            "lift": lift(*counts),
+            "leverage": leverage(*counts),
+            "conviction": conviction(*counts),
+            "jaccard": jaccard(n_joint, n_antecedent, n_consequent),
+        }
+        for name, value in expected.items():
+            assert bits(getattr(metrics, name)) == bits(value), name
+
+    @pytest.mark.parametrize(
+        "counts",
+        [(5, 5, 10, 20), (0, 0, 0, 1), (3, 3, 3, 3), (0, 4, 0, 9)],
+    )
+    def test_zero_and_infinite_cases(self, counts):
+        metrics = RuleMetrics.from_counts(*counts)
+        assert bits(metrics.conviction) == bits(conviction(*counts))
+        assert bits(metrics.lift) == bits(lift(*counts))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.tuples(*[st.integers(-3, 12)] * 4))
+    def test_invalid_counts_raise_the_same_error(self, counts):
+        try:
+            expected = lift(*counts)
+        except ConfigError as error:
+            with pytest.raises(ConfigError) as raised:
+                RuleMetrics.from_counts(*counts)
+            assert str(raised.value) == str(error)
+        else:
+            assert bits(RuleMetrics.from_counts(*counts).lift) == bits(expected)
