@@ -135,10 +135,14 @@ def exclusiveness(
     n_drugs = cluster.n_drugs
     total = 0.0
     for cardinality, values in levels.items():
-        mean = sum(values) / len(values)
-        penalty = 1.0 - config.theta * coefficient_of_variation(values)
-        total += (p - mean) * decay(cardinality, n_drugs) * penalty
+        total += level_term(p, values, decay(cardinality, n_drugs), config.theta)
     return total / len(levels)
+
+
+def level_term(p: float, values: list[float], weight: float, theta: float) -> float:
+    """One level's addend of Eq. 3.5: ``(p − v̄_k) · f_d(k) · (1 − θ·Cv(v_k))``."""
+    mean = sum(values) / len(values)
+    return (p - mean) * weight * (1.0 - theta * coefficient_of_variation(values))
 
 
 def score_clusters(

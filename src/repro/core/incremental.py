@@ -38,6 +38,7 @@ from repro.faers.dataset import ReportDataset
 from repro.faers.schema import CaseReport
 from repro.incremental.engine import IncrementalEngine
 from repro.obs import NULL_REGISTRY, MetricsRegistry, NullRegistry
+from repro.runtime import collector_paused
 
 ClusterKey = tuple[tuple[str, ...], tuple[str, ...]]
 
@@ -225,6 +226,7 @@ class SurveillanceMonitor:
         """Batches ingested so far (including pre-restore ones)."""
         return self._batch_index
 
+    @collector_paused()
     def ingest(self, batch: Iterable[CaseReport]) -> BatchDelta:
         """Append one batch, re-mine, and return the change feed.
 

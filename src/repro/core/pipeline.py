@@ -56,6 +56,7 @@ from repro.obs import NULL_REGISTRY, MetricsRegistry, MetricsSnapshot, NullRegis
 from repro.obs.metrics import use_registry
 from repro.parallel.miner import MAX_WORKERS, fpclose_sharded, resolve_workers
 from repro.parallel.sharding import SHARD_STRATEGIES, plan_shards
+from repro.runtime import collector_paused
 
 
 @dataclass(frozen=True, slots=True)
@@ -454,6 +455,7 @@ class Maras:
         self.config = config if config is not None else MarasConfig()
         self.registry = registry if registry is not None else NULL_REGISTRY
 
+    @collector_paused()
     def run(
         self, reports: Sequence[CaseReport] | ReportDataset
     ) -> MarasResult:

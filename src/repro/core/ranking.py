@@ -14,7 +14,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.core.context import MCAC
-from repro.core.exclusiveness import ExclusivenessConfig, exclusiveness
+from repro.core.exclusiveness import ExclusivenessConfig, exclusiveness, level_term
 from repro.core.improvement import improvement
 from repro.errors import ConfigError
 
@@ -67,6 +67,46 @@ def score_cluster(
     if method is RankingMethod.IMPROVEMENT:
         return improvement(cluster)
     raise ConfigError(f"unknown ranking method {method!r}")
+
+
+def score_all(
+    cluster: MCAC, *, theta: float = 0.5, decay: str = "linear"
+) -> dict[str, float]:
+    """Every :class:`RankingMethod`'s score, keyed by value, in one walk.
+
+    Bit-identical to :func:`score_cluster` per method: each score is the
+    same float operations in the same order, but the levels are read
+    once instead of once per exclusiveness measure and for improvement.
+    """
+    weight_of = ExclusivenessConfig(theta=theta, decay=decay).decay_function
+    metrics = cluster.target.metrics
+    p_confidence = float(metrics.confidence)
+    p_lift = float(metrics.lift)
+    n_drugs = cluster.n_drugs
+    exclusive_confidence = exclusive_lift = 0.0
+    confidences: list[float] = []
+    for cardinality, rules in cluster.levels.items():
+        level_confidences = [float(rule.metrics.confidence) for rule in rules]
+        level_lifts = [float(rule.metrics.lift) for rule in rules]
+        weight = weight_of(cardinality, n_drugs)
+        exclusive_confidence += level_term(
+            p_confidence, level_confidences, weight, theta
+        )
+        exclusive_lift += level_term(p_lift, level_lifts, weight, theta)
+        confidences.extend(level_confidences)
+    if not confidences:
+        raise ConfigError(
+            "cluster has no context levels; MCACs of multi-drug rules "
+            "always have at least level 1"
+        )
+    n_levels = len(cluster.levels)
+    return {
+        RankingMethod.CONFIDENCE.value: metrics.confidence,
+        RankingMethod.LIFT.value: metrics.lift,
+        RankingMethod.EXCLUSIVENESS_CONFIDENCE.value: exclusive_confidence / n_levels,
+        RankingMethod.EXCLUSIVENESS_LIFT.value: exclusive_lift / n_levels,
+        RankingMethod.IMPROVEMENT.value: p_confidence - max(confidences),
+    }
 
 
 def rank_clusters(

@@ -13,9 +13,9 @@ result.
 The incremental engine carries records across batches. Counts that a
 batch cannot change are kept; :func:`remeasure` rebuilds the
 ``n_total``- and supp(Y)-dependent side (support, lift, leverage,
-conviction and the two lift scores) through the same
+conviction and the scores) through the same
 :meth:`~repro.mining.measures.RuleMetrics.from_counts` and
-:func:`~repro.core.ranking.score_cluster` calls a fresh build makes, so
+:func:`~repro.core.ranking.score_all` calls a fresh build makes, so
 the floats are identical.
 """
 
@@ -26,13 +26,9 @@ from dataclasses import dataclass
 from repro.core.association import DrugADRAssociation
 from repro.core.context import MCAC, ContextualRule
 from repro.core.ids import cluster_id
-from repro.core.ranking import RankingMethod, score_cluster
+from repro.core.ranking import score_all
 from repro.mining.measures import RuleMetrics
 from repro.mining.rules import AssociationRule
-
-#: The scores that read supp(Y) or ``n_total``; the other three read
-#: confidences only.
-_LIFT_SIDE = (RankingMethod.LIFT, RankingMethod.EXCLUSIVENESS_LIFT)
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,10 +76,7 @@ def build_record(
             catalog.labels(rule.antecedent) for rule in cluster.all_context_rules()
         ),
         case_ids=tuple(sorted(encoded.case_id_of(tid) for tid in tids)),
-        scores={
-            method.value: score_cluster(cluster, method, theta=theta, decay=decay)
-            for method in RankingMethod
-        },
+        scores=score_all(cluster, theta=theta, decay=decay),
     )
 
 
@@ -99,8 +92,8 @@ def remeasure(
 
     Valid only when no joint or antecedent count of the cluster changed
     (the caller's carry rule). Confidences, and so the level order and
-    the confidence-side scores, are unchanged; every metric and the two
-    lift-side scores are rebuilt from the kept counts.
+    the confidence-side scores, are unchanged; every metric and score is
+    rebuilt from the kept counts.
     """
     target = record.cluster.target
     kept = target.metrics
@@ -128,11 +121,6 @@ def remeasure(
             for level, rules in record.cluster.levels.items()
         },
     )
-    scores = dict(record.scores)
-    for method in _LIFT_SIDE:
-        scores[method.value] = score_cluster(
-            cluster, method, theta=theta, decay=decay
-        )
     return ClusterRecord(
         association=DrugADRAssociation(rule, record.association.support_type),
         cluster=cluster,
@@ -141,5 +129,5 @@ def remeasure(
         adrs=record.adrs,
         context_drugs=record.context_drugs,
         case_ids=record.case_ids,
-        scores=scores,
+        scores=score_all(cluster, theta=theta, decay=decay),
     )

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from repro.errors import ConfigError, ValidationError
 from repro.faers.schema import CaseReport, validate_scalars
 from repro.obs import get_registry
+from repro.runtime import collector_paused
 
 # Dose/strength/form tails frequently pasted into FAERS verbatim drug
 # strings: "ASPIRIN 81 MG", "WARFARIN SODIUM TAB", "NEXIUM 40MG CAPSULES".
@@ -510,6 +511,7 @@ class ReportCleaner:
         """A fresh fold configured with this cleaner's vocabularies."""
         return IncrementalCleaner(self._drug_corrector, self._adr_corrector)
 
+    @collector_paused()
     def clean(
         self, reports: Iterable[CaseReport]
     ) -> tuple[list[CaseReport], CleaningStats]:

@@ -44,6 +44,7 @@ from typing import TextIO
 from repro.errors import ParseError
 from repro.faers.schema import CaseReport, ReportType
 from repro.obs import get_registry
+from repro.runtime import collector_paused
 
 DELIMITER = "$"
 
@@ -318,6 +319,7 @@ def _collect_terms(
     return terms, n_rows, n_orphans
 
 
+@collector_paused()
 def parse_quarter(
     demo_path: str | os.PathLike[str],
     drug_path: str | os.PathLike[str],

@@ -435,10 +435,9 @@ class IncrementalEngine:
         item and no item of it was changed by an updated row, every
         count but supp(Y) is unchanged, and when none of its items is a
         delta item, supp(Y) is too. Such a record keeps its counts, id,
-        labels, case ids and confidence-side scores;
-        :func:`~repro.core.records.remeasure` rebuilds the
-        ``n_total``/supp(Y) side. A record holding a renamed item, and
-        every other cluster, is built afresh.
+        labels and case ids; :func:`~repro.core.records.remeasure`
+        rebuilds the ``n_total``/supp(Y) side and the scores. A record
+        holding a renamed item, and every other cluster, is built afresh.
         """
         config = self.config
         theta, decay = config.theta, config.decay

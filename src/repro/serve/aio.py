@@ -30,7 +30,6 @@ event loop per worker process:
 from __future__ import annotations
 
 import asyncio
-import gc
 import json
 import os
 import signal
@@ -46,6 +45,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from repro.obs import merge_metric_dicts
+from repro.runtime import frozen_heap
 from repro.serve.api import CONTENT_TYPE, ApiResponder, ApiResponse, shed_response
 
 SERVER_NAME = "mediar-serve/1"
@@ -484,24 +484,6 @@ def worker_main(
     asyncio.run(main())
 
 
-@contextmanager
-def _frozen_heap() -> Iterator[None]:
-    """Fork workers inside this block with the parent's heap frozen.
-
-    ``gc.freeze`` moves every live object to the permanent generation,
-    so a forked worker's collections never walk the heap it inherited
-    (its first full collection otherwise stalled requests ~150 ms) and
-    never write to those copy-on-write pages. The parent unfreezes
-    after forking, so its own later garbage stays collectable.
-    """
-    gc.collect()
-    gc.freeze()
-    try:
-        yield
-    finally:
-        gc.unfreeze()
-
-
 def serve_forked(
     responder_or_factory: ApiResponder | Callable[[], ApiResponder],
     host: str,
@@ -546,7 +528,7 @@ def serve_forked(
     if metrics_dir is not None:
         metrics_dir.mkdir(parents=True, exist_ok=True)
     pids = []
-    with _frozen_heap():
+    with frozen_heap():
         for worker_id in range(n_workers):
             pid = os.fork()
             if pid == 0:
@@ -615,7 +597,7 @@ def forked_workers(
     if metrics_dir is not None:
         Path(metrics_dir).mkdir(parents=True, exist_ok=True)
     pids = []
-    with _frozen_heap():
+    with frozen_heap():
         for worker_id in range(n_workers):
             pid = os.fork()
             if pid == 0:

@@ -27,6 +27,7 @@ from repro.core.export import FORMAT_VERSION, export_result
 from repro.core.ids import cluster_id
 from repro.core.pipeline import MarasResult
 from repro.errors import ConfigError, NotFoundError, StoreError, ValidationError
+from repro.runtime import collector_paused
 from repro.serve.indexes import RunIndexes
 from repro.store import open_backend, validate_run_name
 
@@ -128,6 +129,7 @@ class ResultStore:
         with self._lock:
             self._subscribers.append(callback)
 
+    @collector_paused()
     def add_result(
         self,
         name: str,
@@ -184,6 +186,7 @@ class ResultStore:
             )
         return self.add_result(name, result, include_case_ids=include_case_ids)
 
+    @collector_paused()
     def refresh_from(
         self,
         name: str,
@@ -234,6 +237,7 @@ class ResultStore:
             f"multiple runs available, pass run=<name>: {sorted(runs)}"
         )
 
+    @collector_paused()
     def save(self, target: str | Path) -> list[Any]:
         """Persist every snapshot to the store at ``target``.
 

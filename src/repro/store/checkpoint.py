@@ -49,6 +49,7 @@ from repro.core.pipeline import MarasConfig
 from repro.core.ranking import RankingMethod
 from repro.errors import StoreError
 from repro.faers.schema import CaseReport
+from repro.runtime import collector_paused
 from repro.store.backend import Backend, JournalEntry
 
 #: Bump when the checkpoint payload layout changes incompatibly.
@@ -77,6 +78,7 @@ def config_fingerprint(config: MarasConfig) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+@collector_paused()
 def checkpoint_monitor(
     backend: Backend,
     run: str,

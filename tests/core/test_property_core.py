@@ -12,6 +12,7 @@ from repro.core.exclusiveness import (
     exclusiveness_simple,
 )
 from repro.core.improvement import improvement
+from repro.core.ranking import RankingMethod, score_all, score_cluster
 from repro.mining.fpclose import fpclose
 from repro.mining.rules import partitioned_rules
 from repro.mining.transactions import TransactionDatabase
@@ -29,6 +30,8 @@ reports_strategy = st.lists(
     max_size=40,
 )
 
+thetas = st.sampled_from([0.0, 0.3, 0.5, 1.0])
+decays = st.sampled_from(["linear", "none", "exponential"])
 confidences = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 contexts = st.lists(confidences, min_size=1, max_size=10)
 
@@ -123,3 +126,15 @@ def test_scores_invariant_to_report_order(raw):
         )
 
     assert normalized(db_a, clusters_a) == normalized(db_b, clusters_b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(raw=reports_strategy, theta=thetas, decay=decays)
+def test_score_all_is_bit_identical_to_score_cluster(raw, theta, decay):
+    """One walk of the levels, the same floats as five per-method calls."""
+    _, clusters = clusters_of(raw)
+    for cluster in clusters:
+        scores = score_all(cluster, theta=theta, decay=decay)
+        for method in RankingMethod:
+            expected = score_cluster(cluster, method, theta=theta, decay=decay)
+            assert scores[method.value].hex() == expected.hex(), method

@@ -2,16 +2,24 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.core.exclusiveness import ExclusivenessConfig, exclusiveness
+from repro.core.incremental import SurveillanceMonitor
+from repro.core.pipeline import Maras, MarasConfig
 from repro.core.ranking import (
     RankingMethod,
     rank_clusters,
     ranking_table,
+    score_all,
     score_cluster,
 )
 from repro.errors import ConfigError
+
+from tests.golden.regenerate import DATASET_PATH, GOLDEN_CONFIG, report_from_dict
+from tests.incremental.streams import make_stream, split_schedule
 
 
 class TestScoreCluster:
@@ -39,6 +47,69 @@ class TestScoreCluster:
         ) == pytest.approx(
             exclusiveness(cluster, ExclusivenessConfig(measure="lift", theta=0.5))
         )
+
+
+def golden_result():
+    reports = [report_from_dict(row) for row in json.loads(DATASET_PATH.read_text())]
+    return Maras(MarasConfig(**GOLDEN_CONFIG)).run(reports)
+
+
+def trickle_result(seed):
+    """A differential-harness stream whose records mostly carry over."""
+    config = MarasConfig(min_support=3, clean=True, incremental=True)
+    fractions = (0.5, *(0.5 + step / 100 for step in range(1, 51)))
+    with SurveillanceMonitor(config) as monitor:
+        for batch in split_schedule(make_stream(seed), fractions):
+            if batch:
+                monitor.ingest(batch)
+        assert monitor.engine_stats["n_carried"] > 0
+        return monitor.result
+
+
+def assert_bit_equal_to_score_cluster(cluster, scores, *, theta, decay):
+    for method in RankingMethod:
+        expected = score_cluster(cluster, method, theta=theta, decay=decay)
+        assert scores[method.value].hex() == expected.hex(), method
+
+
+class TestScoreAll:
+    """score_all ≡ score_cluster bit for bit, and records carry its scores."""
+
+    @pytest.mark.parametrize(
+        "theta, decay", [(0.5, "linear"), (0.0, "none"), (1.0, "exponential")]
+    )
+    def test_golden_clusters(self, theta, decay):
+        result = golden_result()
+        assert result.clusters
+        for cluster in result.clusters:
+            assert_bit_equal_to_score_cluster(
+                cluster,
+                score_all(cluster, theta=theta, decay=decay),
+                theta=theta,
+                decay=decay,
+            )
+
+    @pytest.mark.parametrize("seed", [11, 47, 2014])
+    def test_carried_and_fresh_records_of_a_stream(self, seed):
+        result = trickle_result(seed)
+        theta, decay = result.config.theta, result.config.decay
+        for record in result.records():
+            assert_bit_equal_to_score_cluster(
+                record.cluster, record.scores, theta=theta, decay=decay
+            )
+            assert_bit_equal_to_score_cluster(
+                record.cluster,
+                score_all(record.cluster, theta=theta, decay=decay),
+                theta=theta,
+                decay=decay,
+            )
+
+    def test_validates_like_score_cluster(self, mined_quarter):
+        cluster = mined_quarter.clusters[0]
+        with pytest.raises(ConfigError):
+            score_all(cluster, theta=1.5)
+        with pytest.raises(ConfigError):
+            score_all(cluster, decay="cubic")
 
 
 class TestRankClusters:
