@@ -88,7 +88,6 @@ def _best_of(fn, rounds):
 
 def test_trajectory_sharded_speedup(bench_dataset):
     database = bench_dataset.encode().database
-    database.item_masks()  # warm the shared mask table for all paths
 
     single_seconds, single = _best_of(
         lambda: canonical_itemset_order(

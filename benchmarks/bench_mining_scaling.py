@@ -12,8 +12,7 @@ Two set-vs-bitset groups track the production mining core:
   production occurrence-delivery miner (its record keeps the historical
   ``bitset`` key) on the same fixture, same thresholds, byte-identical
   output.
-- ``support-oracle`` — frozenset intersection vs raw
-  :class:`~repro.mining.bitsets.BitsetIndex` vs the memoized
+- ``support-oracle`` — the database's mask support vs the memoized
   :class:`~repro.mining.bitsets.SupportOracle` on a repeated-query
   workload shaped like MCAC construction.
 
@@ -33,7 +32,7 @@ import pytest
 
 from benchmarks._trajectory import REPO_ROOT, append_run, base_record
 from repro.mining import apriori, fpclose, fpclose_reference, fpgrowth
-from repro.mining.bitsets import BitsetIndex, SupportOracle
+from repro.mining.bitsets import SupportOracle
 from repro.obs import MetricsRegistry
 from repro.obs.metrics import use_registry
 
@@ -107,24 +106,13 @@ def test_support_sets(benchmark, database):
 
 
 @pytest.mark.benchmark(group="support-oracle")
-def test_support_bitset_index(benchmark, database):
-    index = BitsetIndex(database)
-    queries = _mcac_style_queries(database)
-    benchmark(lambda: [index.support(q) for q in queries])
-    # cross-check agreement on this workload
-    assert [index.support(q) for q in queries] == [
-        database.support(q) for q in queries
-    ]
-
-
-@pytest.mark.benchmark(group="support-oracle")
 def test_support_memoized_oracle(benchmark, database):
     queries = _mcac_style_queries(database)
 
     def fresh_oracle_pass():
         # A fresh oracle per round mirrors the pipeline: one cache per
         # run, warmed by the workload itself.
-        oracle = SupportOracle(BitsetIndex(database))
+        oracle = SupportOracle(database)
         return [oracle.support(q) for q in queries]
 
     result = benchmark(fresh_oracle_pass)
@@ -155,11 +143,9 @@ def _best_of(fn, rounds):
 
 def test_trajectory_set_vs_bitset(database):
     """Measure set vs bitset closed mining and append to BENCH_mining.json."""
-    # Warm the shared mask table outside the timed region so both
-    # miners are measured on equal footing (the reference build of the
-    # vertical tidsets happened at database construction).
-    database.item_masks()
-
+    # The reference's timed call includes building its frozenset tidsets
+    # from the database's masks (about 4 ms of 130 ms on this fixture);
+    # records made while the database kept a tidset view did not.
     bitset_seconds, bitset_result = _best_of(
         lambda: fpclose(database, MIN_SUPPORT, max_len=MAX_LEN), rounds=3
     )

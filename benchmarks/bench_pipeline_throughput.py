@@ -6,11 +6,9 @@ claim that the full FAERS scale is reachable. Reported as reports/sec
 per scale; the shape claim is sub-quadratic growth (doubling the data
 costs clearly less than 4× the time).
 
-The ``pipeline-set-vs-bitset`` group runs the same workload down both
-measurement paths — ``use_bitsets=False`` (frozenset tidsets, direct
-``database.support``) and the default bitset-native path (bitmask
-miner + shared memoized support oracle) — and asserts the mined
-clusters are identical, so the speedup is attributable and safe.
+``test_pipeline_bitsets`` times the middle scale on its own, under its
+``pipeline-set-vs-bitset`` group name, so its records stay comparable
+across runs.
 """
 
 from __future__ import annotations
@@ -58,42 +56,13 @@ def test_pipeline_scale(benchmark, datasets, scale):
     benchmark.extra_info["counters"] = dict(profiled.metrics.counters)
 
 
-def _cluster_signature(result):
-    """Order-independent digest of mined clusters for equivalence checks."""
-    return sorted(
-        (
-            tuple(sorted(c.target.antecedent)),
-            tuple(sorted(c.target.consequent)),
-            c.target.metrics.confidence,
-            tuple(
-                (k, tuple(sorted((tuple(sorted(r.antecedent)), r.metrics.confidence) for r in v)))
-                for k, v in sorted(c.levels.items())
-            ),
-        )
-        for c in result.clusters
-    )
-
-
-@pytest.mark.benchmark(group="pipeline-set-vs-bitset")
-def test_pipeline_sets(benchmark, datasets):
-    maras = Maras(MarasConfig(min_support=5, clean=False, use_bitsets=False))
-    result = benchmark.pedantic(
-        lambda: maras.run(datasets[0.02]), rounds=3, iterations=1
-    )
-    assert result.clusters
-
-
 @pytest.mark.benchmark(group="pipeline-set-vs-bitset")
 def test_pipeline_bitsets(benchmark, datasets):
-    maras = Maras(MarasConfig(min_support=5, clean=False, use_bitsets=True))
+    maras = Maras(MarasConfig(min_support=5, clean=False))
     result = benchmark.pedantic(
         lambda: maras.run(datasets[0.02]), rounds=3, iterations=1
     )
     assert result.clusters
-    reference = Maras(
-        MarasConfig(min_support=5, clean=False, use_bitsets=False)
-    ).run(datasets[0.02])
-    assert _cluster_signature(result) == _cluster_signature(reference)
 
 
 def test_throughput_subquadratic(datasets):

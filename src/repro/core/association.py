@@ -28,14 +28,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import combinations
-from typing import TYPE_CHECKING
 
 from repro.errors import ConfigError
 from repro.mining.rules import AssociationRule
-from repro.mining.transactions import Itemset, TransactionDatabase
-
-if TYPE_CHECKING:  # pragma: no cover — typing-only, avoids import coupling
-    from repro.mining.bitsets import SupportOracle
+from repro.mining.transactions import Itemset, TransactionDatabase, mask_tids
 
 
 class SupportType(enum.Enum):
@@ -50,12 +46,7 @@ class SupportType(enum.Enum):
         return self is not SupportType.UNSUPPORTED
 
 
-def classify_support(
-    database: TransactionDatabase,
-    items: Itemset,
-    *,
-    oracle: "SupportOracle | None" = None,
-) -> SupportType:
+def classify_support(database: TransactionDatabase, items: Itemset) -> SupportType:
     """Classify an itemset per the (generalized) §3.3 taxonomy.
 
     Explicit wins over implicit when both hold, mirroring the paper's
@@ -63,17 +54,11 @@ def classify_support(
     containing transactions: for support ≥ 2 that intersection equals
     the itemset exactly when the itemset is closed over its tidset,
     which is the generalized implicit-support condition.
-
-    ``oracle`` (a :class:`~repro.mining.bitsets.SupportOracle`)
-    materializes the tidset from bitmasks instead of intersecting
-    frozensets; transaction contents still come from ``database``.
     """
     items = frozenset(items)
     if not items:
         raise ConfigError("cannot classify the empty itemset")
-    tids = (
-        database.tidset_of(items) if oracle is None else oracle.tidset(items)
-    )
+    tids = mask_tids(database.itemset_mask(items), len(database))
     if not tids:
         return SupportType.UNSUPPORTED
     for tid in tids:
@@ -110,7 +95,7 @@ def is_pairwise_implicit(
     careless call on a high-support itemset cannot stall the pipeline.
     """
     items = frozenset(items)
-    tids = sorted(database.tidset_of(items))
+    tids = mask_tids(database.itemset_mask(items), len(database))
     n_pairs = len(tids) * (len(tids) - 1) // 2
     if max_pairs is not None and n_pairs > max_pairs:
         raise ConfigError(
@@ -141,13 +126,8 @@ class DrugADRAssociation:
         cls,
         rule: AssociationRule,
         database: TransactionDatabase,
-        *,
-        oracle: "SupportOracle | None" = None,
     ) -> "DrugADRAssociation":
-        return cls(
-            rule=rule,
-            support_type=classify_support(database, rule.items, oracle=oracle),
-        )
+        return cls(rule=rule, support_type=classify_support(database, rule.items))
 
     def stable_id(self, catalog) -> str:
         """Deterministic content-hash id of this association (``assoc-…``).

@@ -44,7 +44,7 @@ from repro.faers.cleaning import (
 from repro.faers.dataset import ADR_KIND, DRUG_KIND, EncodedDataset, ReportDataset
 from repro.faers.schema import CaseReport
 from repro.mining.bitsets import SupportOracle
-from repro.mining.fpclose import fpclose, fpclose_reference
+from repro.mining.fpclose import fpclose
 from repro.mining.fpgrowth import fpgrowth
 from repro.mining.rules import (
     count_all_splits,
@@ -84,14 +84,6 @@ class MarasConfig:
         Also mine *all* frequent itemsets and count the traditional and
         filtered rule spaces (the Fig 5.1 series). Costs a second mining
         pass; off by default.
-    use_bitsets:
-        Run the mining/measurement path over integer bitmasks: the
-        bitset-native closed miner plus one shared, memoized
-        :class:`~repro.mining.bitsets.SupportOracle` threaded through
-        rule generation, support classification and MCAC construction.
-        ``False`` selects the set-based reference path — same results
-        bit for bit (the equivalence tests assert it), several times
-        slower; it exists for cross-checking and benchmarking.
     theta, decay:
         Exclusiveness parameters forwarded to the rankers.
     n_workers:
@@ -114,9 +106,9 @@ class MarasConfig:
         :class:`~repro.incremental.IncrementalEngine` (per-batch cost
         proportional to the delta) instead of re-running the full
         pipeline over the accumulated history. One-shot ``Maras.run``
-        calls are unaffected by the flag. Requires ``use_bitsets=True``
-        and is incompatible with ``count_rule_space`` (the rule-space
-        census is a whole-history measurement).
+        calls are unaffected by the flag. Incompatible with
+        ``count_rule_space`` (the rule-space census is a whole-history
+        measurement).
     incremental_rebuild_fraction:
         When a batch's delta touches more than this fraction of the
         post-batch database, the incremental engine falls back to a
@@ -130,7 +122,6 @@ class MarasConfig:
     min_confidence: float = 0.0
     clean: bool = True
     count_rule_space: bool = False
-    use_bitsets: bool = True
     theta: float = 0.5
     decay: str = "linear"
     n_workers: int = 1
@@ -181,10 +172,6 @@ class MarasConfig:
             raise ConfigError(
                 f"unknown shard strategy {self.shard_strategy!r}; "
                 f"choose from {SHARD_STRATEGIES}"
-            )
-        if self.incremental and not self.use_bitsets:
-            raise ConfigError(
-                "incremental surveillance requires use_bitsets=True"
             )
         if self.incremental and self.count_rule_space:
             raise ConfigError(
@@ -500,13 +487,11 @@ class Maras:
             database = encoded.database
         registry.counter("pipeline.transactions").inc(len(database))
 
-        # One bitset index + memoized support cache for the whole run:
-        # the miner, the rule generators, the support classifier and
-        # every MCAC share the same mask table and answer cache.
-        oracle: SupportOracle | None = None
-        if config.use_bitsets:
-            with registry.timer("pipeline.index"):
-                oracle = SupportOracle.for_database(database)
+        # One memoized support cache for the whole run: the rule
+        # generators and every MCAC share it, and the sharded merge
+        # warms it.
+        with registry.timer("pipeline.index"):
+            oracle = SupportOracle(database)
 
         n_workers = resolve_workers(config.n_workers)
         if n_workers > 1 and len(database) > 1:
@@ -520,9 +505,8 @@ class Maras:
                     oracle=oracle,
                 )
         else:
-            miner = fpclose if config.use_bitsets else fpclose_reference
             with registry.timer("pipeline.mine"):
-                closed = miner(
+                closed = fpclose(
                     database,
                     config.min_support,
                     max_len=config.max_itemset_len,
@@ -548,7 +532,7 @@ class Maras:
                 if 2 <= len(rule.antecedent) <= config.max_drugs
             ]
             associations = [
-                DrugADRAssociation.from_rule(rule, database, oracle=oracle)
+                DrugADRAssociation.from_rule(rule, database)
                 for rule in multi_drug_rules
             ]
         registry.counter("pipeline.rules").inc(len(rules))
@@ -568,9 +552,8 @@ class Maras:
         with registry.timer("pipeline.cluster"):
             clusters = build_clusters(multi_drug_rules, database, oracle=oracle)
         registry.counter("pipeline.clusters").inc(len(clusters))
-        if oracle is not None:
-            registry.counter("oracle.support_hits").inc(oracle.hits)
-            registry.counter("oracle.support_misses").inc(oracle.misses)
+        registry.counter("oracle.support_hits").inc(oracle.hits)
+        registry.counter("oracle.support_misses").inc(oracle.misses)
 
         rule_counts: RuleSpaceCounts | None = None
         if config.count_rule_space:

@@ -27,6 +27,7 @@ from repro.mining.transactions import (
     GrowableTransactionDatabase,
     ItemCatalog,
     TransactionDatabase,
+    mask_tids,
 )
 
 DRUG_KIND = "drug"
@@ -82,7 +83,8 @@ class EncodedDataset:
         This is the §4.1 drill-down: from a ranked rule back to the raw
         cases that support it.
         """
-        tids = sorted(self.database.tidset_of(frozenset(itemset)))
+        database = self.database
+        tids = mask_tids(database.itemset_mask(itemset), len(database))
         return [self._reports[tid] for tid in tids]
 
 
@@ -236,10 +238,10 @@ class IncrementalEncoder:
 
     Appended kept cases append rows (new bits at the top of the touched
     item masks) and a follow-up version of a kept case rewrites its one
-    row (bit invalidation); since
-    :class:`~repro.mining.bitsets.BitsetIndex` shares the database's
-    mask dict, a fresh index per batch sees the mutations with no
-    rebuild. Three kinds of update would give ids an order the one-shot
+    row (bit invalidation); the database's masks and support counts are
+    its only column view, so a fresh
+    :class:`~repro.mining.bitsets.SupportOracle` per batch answers from
+    the mutated masks with no rebuild. Three kinds of update would give ids an order the one-shot
     encoding would not, and force a full re-encode instead, reported by
     :meth:`rebuild_reason`:
 

@@ -12,7 +12,7 @@ surveillance stream and turns each ingested batch into a full
    exactly which kept cases appeared or changed.
 2. **Append-only encoding** — the
    :class:`~repro.faers.dataset.IncrementalEncoder` grows the
-   item catalog and the per-item bitmask tidsets in place: appended
+   item catalog and the per-item bitmasks and counts in place: appended
    cases set new bits at the top, a follow-up version invalidates one
    row's bits.
 3. **Delta-aware re-mining** — previously closed itemsets contained in
@@ -74,7 +74,7 @@ from repro.faers.dataset import (
 )
 from repro.faers.schema import CaseReport
 from repro.incremental.mining import carry_closed_itemsets
-from repro.mining.bitsets import BitsetIndex, SupportOracle
+from repro.mining.bitsets import SupportOracle
 from repro.mining.fpclose import fpclose
 from repro.mining.measures import RuleMetrics
 from repro.mining.rules import AssociationRule
@@ -96,10 +96,6 @@ class IncrementalEngine:
         *,
         registry=None,
     ) -> None:
-        if not config.use_bitsets:
-            raise ConfigError(
-                "incremental surveillance requires use_bitsets=True"
-            )
         if config.count_rule_space:
             raise ConfigError(
                 "incremental surveillance does not support count_rule_space"
@@ -297,7 +293,7 @@ class IncrementalEngine:
             self._encoder.rebuild(kept)
         database = self._encoder.database
         threshold = resolve_min_support(config.min_support, len(database))
-        oracle = SupportOracle.for_database(database)
+        oracle = SupportOracle(database)
         with registry.timer("incremental.mine"):
             closed = canonical_itemset_order(
                 fpclose(database, threshold, max_len=config.max_itemset_len)
@@ -377,7 +373,7 @@ class IncrementalEngine:
         # Fresh oracle over the mutated masks, warm-started with every
         # closed support plus the previous cache's delta-disjoint
         # entries (their masks cannot have changed).
-        oracle = SupportOracle(BitsetIndex(database))
+        oracle = SupportOracle(database)
         for fi in closed:
             oracle.warm(fi.items, fi.support)
         oracle_carried = 0
@@ -530,7 +526,7 @@ class IncrementalEngine:
                 support_type = record.association.support_type
                 support_types_carried += 1
             else:
-                support_type = classify_support(database, key, oracle=oracle)
+                support_type = classify_support(database, key)
             associations.append(
                 DrugADRAssociation(rule=rule, support_type=support_type)
             )

@@ -19,7 +19,7 @@ association-rule machinery that MeDIAR/MARAS is built on:
 """
 
 from repro.mining.apriori import apriori
-from repro.mining.bitsets import BitsetIndex, SupportOracle
+from repro.mining.bitsets import SupportOracle
 from repro.mining.closure import closure, is_closed
 from repro.mining.fpgrowth import fpgrowth
 from repro.mining.fpclose import fpclose, fpclose_reference
@@ -49,7 +49,6 @@ from repro.mining.transactions import (
 
 __all__ = [
     "AssociationRule",
-    "BitsetIndex",
     "FrequentItemset",
     "ItemCatalog",
     "RuleMetrics",

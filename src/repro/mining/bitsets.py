@@ -1,131 +1,54 @@
-"""Bitset-backed support oracle.
+"""Memoized support answers and chunked masks over the database's bitmasks.
 
-The default :class:`~repro.mining.transactions.TransactionDatabase`
-keeps tidsets as ``frozenset[int]``; intersecting those allocates new
-sets per query. At FAERS scale (10⁵+ reports) the hot path — support
-counting during MCAC construction and contingency building — is better
-served by *bitset* tidsets: one arbitrary-precision Python integer per
-item, one bit per transaction, so an itemset support is a chain of
-``&`` and one ``bit_count()``, all in C.
+:class:`~repro.mining.transactions.TransactionDatabase` keeps one
+arbitrary-precision int per item, one bit per transaction, so an
+itemset support is a chain of ``&`` and one ``bit_count()``, all in C.
+Two layers build on those masks here:
 
-Two layers live here:
+- :class:`SupportOracle` — a memoizing façade over a database. The
+  MCAC builder asks for the support of every one of a target's
+  ``2^n − 2`` antecedent subsets, and clusters of overlapping targets
+  share most of those subsets; the oracle computes each distinct
+  itemset support once per pipeline run.
+- :class:`ChunkedItemMasks` — per-item masks split into sparse
+  fixed-width blocks, for the sharded merge's many narrow
+  intersections.
 
-- :class:`BitsetIndex` — read-only per-item bitmask view over a fixed
-  database. It shares the database's own lazily built mask table
-  (:meth:`~repro.mining.transactions.TransactionDatabase.item_masks`),
-  so index construction after any multi-item support query is free.
-- :class:`SupportOracle` — a memoizing façade over a
-  :class:`BitsetIndex`. The MCAC builder asks for the support of every
-  one of a target's ``2^n − 2`` antecedent subsets, and clusters of
-  overlapping targets share most of those subsets; the oracle computes
-  each distinct itemset support once per pipeline run.
-
-The equivalence tests assert both layers agree with the set-based
-answers bit for bit, and the mining-scaling benchmark measures the
-speedup.
+The equivalence tests check the oracle against a row scan of the
+database, and the mining-scaling benchmark measures the memo's effect.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
-from repro.errors import MiningError
 from repro.mining.transactions import Itemset, TransactionDatabase
 
 
-class BitsetIndex:
-    """Per-item transaction bitmasks over a fixed database.
-
-    Bit ``t`` of ``mask(item)`` is set iff transaction ``t`` contains
-    the item. The index is immutable and tied to the database it was
-    built from; the mask table itself is shared with the database
-    (built at most once per database, whoever asks first).
-    """
-
-    def __init__(self, database: TransactionDatabase) -> None:
-        self._n_transactions = len(database)
-        self._masks = database.item_masks()
-        self._full = (1 << self._n_transactions) - 1
-
-    def __len__(self) -> int:
-        return self._n_transactions
-
-    def mask(self, item: int) -> int:
-        """The transaction bitmask of one item (0 if it never occurs)."""
-        return self._masks.get(item, 0)
-
-    def itemset_mask(self, itemset: Iterable[int]) -> int:
-        """AND of the item masks; the full mask for the empty itemset."""
-        result = self._full
-        for item in itemset:
-            result &= self._masks.get(item, 0)
-            if not result:
-                return 0
-        return result
-
-    def support(self, itemset: Iterable[int]) -> int:
-        """Absolute support via popcount."""
-        return self.itemset_mask(itemset).bit_count()
-
-    def tidset(self, itemset: Iterable[int]) -> frozenset[int]:
-        """Materialize the matching tids (for interop with set-based code).
-
-        Iterates *set bits only* — isolate the lowest set bit with
-        ``mask & -mask``, convert to a tid with ``bit_length``, clear it
-        — so the walk is O(popcount), not O(n_transactions).
-        """
-        mask = self.itemset_mask(itemset)
-        tids = []
-        while mask:
-            low = mask & -mask
-            tids.append(low.bit_length() - 1)
-            mask ^= low
-        return frozenset(tids)
-
-    def contingency_counts(
-        self, exposure: Itemset, outcome: Itemset
-    ) -> tuple[int, int, int, int]:
-        """(a, b, c, d) cells of the exposure/outcome 2×2 table."""
-        if not exposure or not outcome:
-            raise MiningError("exposure and outcome must be non-empty")
-        exposed = self.itemset_mask(exposure)
-        with_outcome = self.itemset_mask(outcome)
-        a = (exposed & with_outcome).bit_count()
-        b = exposed.bit_count() - a
-        c = with_outcome.bit_count() - a
-        d = self._n_transactions - a - b - c
-        return (a, b, c, d)
-
-
 class SupportOracle:
-    """Memoized itemset-support answers over a shared :class:`BitsetIndex`.
+    """Memoized itemset-support answers over a database's masks.
 
     Duck-compatible with the support-counting surface of
     :class:`~repro.mining.transactions.TransactionDatabase`
     (``len(oracle)``, ``oracle.support(itemset)``), so the rule
     generators and the MCAC builder accept either. Each distinct
     itemset's support is computed once; ``hits``/``misses`` expose the
-    cache effectiveness to the observability layer.
+    cache effectiveness to the observability layer. The oracle reads
+    the database's live masks, so it must not outlive a mutation of a
+    growable database: build a fresh one per batch and carry the still
+    valid answers with :meth:`warm_from`.
     """
 
-    __slots__ = ("_index", "_cache", "hits", "misses")
+    __slots__ = ("_database", "_cache", "hits", "misses")
 
-    def __init__(self, index: BitsetIndex) -> None:
-        self._index = index
+    def __init__(self, database: TransactionDatabase) -> None:
+        self._database = database
         self._cache: dict[Itemset, int] = {}
         self.hits = 0
         self.misses = 0
 
-    @classmethod
-    def for_database(cls, database: TransactionDatabase) -> "SupportOracle":
-        return cls(BitsetIndex(database))
-
-    @property
-    def index(self) -> BitsetIndex:
-        return self._index
-
     def __len__(self) -> int:
-        return len(self._index)
+        return len(self._database)
 
     def support(self, itemset: Iterable[int]) -> int:
         """Absolute support of ``itemset``, memoized per distinct itemset."""
@@ -135,7 +58,7 @@ class SupportOracle:
             self.hits += 1
             return cached
         self.misses += 1
-        result = self._cache[key] = self._index.support(key)
+        result = self._cache[key] = self._database.support(key)
         return result
 
     def warm(self, itemset: Iterable[int], support: int) -> None:
@@ -167,10 +90,6 @@ class SupportOracle:
                 self._cache.setdefault(key, support)
                 carried += 1
         return carried
-
-    def tidset(self, itemset: Iterable[int]) -> frozenset[int]:
-        """Matching tids (uncached — tidsets are large, supports are not)."""
-        return self._index.tidset(itemset)
 
     def cache_size(self) -> int:
         return len(self._cache)

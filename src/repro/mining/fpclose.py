@@ -37,6 +37,7 @@ from repro.mining.transactions import (
     FrequentItemset,
     Itemset,
     TransactionDatabase,
+    mask_tids,
     resolve_min_support,
 )
 from repro.obs import get_registry
@@ -54,19 +55,8 @@ def touched_universe(
     the sharded miner (:mod:`repro.parallel.miner`) projects every
     shard's rows onto it before they reach a worker.
     """
-    tids = _mask_tids(touched_mask, len(database))
+    tids = mask_tids(touched_mask, len(database))
     return frozenset().union(*map(database.__getitem__, tids))
-
-
-def _mask_tids(mask: int, n_transactions: int) -> list[int]:
-    """The tids below ``n_transactions`` whose bit is set in ``mask``."""
-    bits = bin(mask)[:1:-1][:n_transactions]  # least significant bit first
-    tids = []
-    tid = bits.find("1")
-    while tid >= 0:
-        tids.append(tid)
-        tid = bits.find("1", tid + 1)
-    return tids
 
 
 def fpclose(
@@ -133,7 +123,7 @@ def fpclose(
         frequent = [item for item, count in supports.items() if count >= threshold]
         touched = None
         if touched_mask is not None:
-            touched = frozenset(_mask_tids(touched_mask, n_transactions))
+            touched = frozenset(mask_tids(touched_mask, n_transactions))
             # A closed itemset whose tidset meets a touched row lies
             # inside that row, so items of no touched row never matter.
             universe = touched_universe(database, touched_mask)
@@ -162,7 +152,7 @@ def fpclose(
             reached = 0
             for item in order:
                 reached |= masks[item]
-            reached_tids = _mask_tids(reached, n_transactions)
+            reached_tids = mask_tids(reached, n_transactions)
             rows = [[]] * n_transactions
             for tid in reached_tids:
                 rows[tid] = sorted(map(rank, rank_of.keys() & database[tid]))

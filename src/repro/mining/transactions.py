@@ -4,8 +4,11 @@ The mining substrate works on *integer item ids* for speed and memory
 locality; the :class:`ItemCatalog` is the bidirectional mapping between
 human-readable item labels (drug names, ADR terms) and those ids. The
 :class:`TransactionDatabase` stores one :class:`frozenset` of item ids per
-transaction and maintains a *vertical* view (item id → set of transaction
-ids) that the closed-itemset miner and the closure operator rely on.
+transaction and one *vertical* view: per item, an int bitmask with bit
+``t`` set iff transaction ``t`` holds the item, plus the item's support
+count. Every support, tidset and contingency question is a chain of
+``&`` over those masks and a popcount; :func:`mask_tids` turns a mask
+back into transaction ids.
 
 Item *kinds* (e.g. ``"drug"`` vs ``"adr"``) are first-class: MeDIAR only
 considers rules whose antecedent is drug-only and whose consequent is
@@ -31,9 +34,8 @@ class SupportCounter(Protocol):
 
     Both :class:`TransactionDatabase` and
     :class:`~repro.mining.bitsets.SupportOracle` satisfy this; the rule
-    generators and the MCAC builder accept either, so callers can swap
-    the set-based backend for the memoized bitset oracle without code
-    changes.
+    generators and the MCAC builder accept either, so callers can put
+    the memoizing oracle in front of the database without code changes.
     """
 
     def __len__(self) -> int: ...
@@ -227,13 +229,36 @@ class FrequentItemset:
         return item_id in self.items
 
 
+def mask_tids(mask: int, n_transactions: int) -> list[int]:
+    """Ascending tids below ``n_transactions`` whose bit is set in ``mask``.
+
+    Shifts the mask down once past its lowest set bit, then scans the
+    ``bin()`` string of the rest, so the cost is linear in the span from
+    the lowest to the highest set bit: a run of bits at the top of a
+    long mask (a stream batch's appended rows) skips the rows below it,
+    and a dense mask costs one string scan, not a long shift per tid.
+    """
+    mask &= (1 << n_transactions) - 1
+    if not mask:
+        return []
+    low = (mask & -mask).bit_length() - 1
+    bits = bin(mask >> low)[:1:-1]  # least significant bit first
+    tids = []
+    tid = bits.find("1")
+    while tid >= 0:
+        tids.append(low + tid)
+        tid = bits.find("1", tid + 1)
+    return tids
+
+
 class TransactionDatabase:
     """An immutable collection of transactions over an :class:`ItemCatalog`.
 
     Each transaction is a :class:`frozenset` of item ids. The database
-    also keeps the *vertical* representation — for each item, the set of
-    transaction ids (tids) containing it — which gives O(1) single-item
-    support and fast tidset intersection for closure computation.
+    also keeps the *vertical* view — for each item, a bitmask of the
+    transaction ids (tids) containing it and its support count — which
+    gives O(1) single-item support and makes a multi-item support a
+    chain of ``&`` plus one popcount, all in C.
 
     Build one either from already-encoded itemsets via the constructor or
     from label transactions with :meth:`from_labelled`.
@@ -247,20 +272,21 @@ class TransactionDatabase:
         self._catalog = catalog
         self._transactions: list[Itemset] = [frozenset(t) for t in transactions]
         n_items = len(catalog)
+        # Only items that occur have an entry, in both dicts.
+        masks: dict[int, int] = {}
+        counts: dict[int, int] = {}
         for tid, transaction in enumerate(self._transactions):
+            bit = 1 << tid
             for item in transaction:
                 if not 0 <= item < n_items:
                     raise MiningError(
                         f"transaction {tid} references item id {item} "
                         f"outside catalog of size {n_items}"
                     )
-        self._tidsets: dict[int, frozenset[int]] = self._build_vertical()
-        # Per-item transaction bitmasks, built lazily on the first
-        # multi-item support query: one arbitrary-precision int per
-        # item makes support counting a chain of `&` plus a popcount,
-        # several times faster than frozenset intersection on the
-        # MCAC/contingency hot path.
-        self._bitmasks: dict[int, int] | None = None
+                masks[item] = masks.get(item, 0) | bit
+                counts[item] = counts.get(item, 0) + 1
+        self._masks = masks
+        self._counts = counts
 
     @classmethod
     def from_labelled(
@@ -306,78 +332,60 @@ class TransactionDatabase:
     def __getitem__(self, tid: int) -> Itemset:
         return self._transactions[tid]
 
-    def _build_vertical(self) -> dict[int, frozenset[int]]:
-        vertical: dict[int, set[int]] = {}
-        for tid, transaction in enumerate(self._transactions):
-            for item in transaction:
-                vertical.setdefault(item, set()).add(tid)
-        return {item: frozenset(tids) for item, tids in vertical.items()}
-
-    def tidset(self, item_id: int) -> frozenset[int]:
-        """Return the set of transaction ids containing ``item_id``."""
-        return self._tidsets.get(item_id, frozenset())
-
-    def tidset_of(self, itemset: Iterable[int]) -> frozenset[int]:
-        """Return the tids of transactions containing *every* item.
-
-        The tidset of the empty itemset is all transactions. Items are
-        intersected smallest-tidset-first so the running intersection
-        shrinks as quickly as possible.
-        """
-        items = sorted(itemset, key=lambda i: len(self.tidset(i)))
-        if not items:
-            return frozenset(range(len(self._transactions)))
-        result = self.tidset(items[0])
-        for item in items[1:]:
-            if not result:
-                break
-            result = result & self.tidset(item)
-        return result
-
-    def item_masks(self) -> dict[int, int]:
-        """Per-item transaction bitmasks (bit ``t`` set iff tid ``t`` has the item).
-
-        Built lazily on first use and cached for the lifetime of the
-        database; :class:`~repro.mining.bitsets.BitsetIndex` shares this
-        exact dict rather than rebuilding it, so the whole mining and
-        measurement path works off one mask table. Callers must treat
-        the returned dict as read-only.
-        """
-        if self._bitmasks is None:
-            masks: dict[int, int] = {}
-            for tid, transaction in enumerate(self._transactions):
-                bit = 1 << tid
-                for item in transaction:
-                    masks[item] = masks.get(item, 0) | bit
-            self._bitmasks = masks
-        return self._bitmasks
-
-    def support(self, itemset: Iterable[int]) -> int:
-        """Absolute support (number of containing transactions) of an itemset."""
-        itemset = frozenset(itemset)
-        if not itemset:
-            return len(self._transactions)
-        if len(itemset) == 1:
-            return len(self.tidset(next(iter(itemset))))
-        masks = self.item_masks()
-        result = -1  # all-ones; first AND clips it to the first mask
+    def itemset_mask(self, itemset: Iterable[int]) -> int:
+        """AND of the item masks; every transaction's bit for the empty itemset."""
+        result = -1  # all-ones; the first AND clips it to the first mask
+        masks = self._masks
         for item in itemset:
             result &= masks.get(item, 0)
             if not result:
                 return 0
-        return result.bit_count()
+        if result < 0:
+            return (1 << len(self._transactions)) - 1
+        return result
+
+    def tidset(self, item_id: int) -> frozenset[int]:
+        """Return the set of transaction ids containing ``item_id``."""
+        return self.tidset_of((item_id,))
+
+    def tidset_of(self, itemset: Iterable[int]) -> frozenset[int]:
+        """Return the tids of transactions containing *every* item.
+
+        The tidset of the empty itemset is all transactions.
+        """
+        n_transactions = len(self._transactions)
+        return frozenset(mask_tids(self.itemset_mask(itemset), n_transactions))
+
+    def item_masks(self) -> dict[int, int]:
+        """Per-item transaction bitmasks (bit ``t`` set iff tid ``t`` has the item).
+
+        The database's own vertical view, not a copy: callers must treat
+        the returned dict as read-only.
+        """
+        return self._masks
+
+    def support(self, itemset: Iterable[int]) -> int:
+        """Absolute support (number of containing transactions) of an itemset."""
+        itemset = frozenset(itemset)
+        if len(itemset) == 1:
+            return self._counts.get(next(iter(itemset)), 0)
+        return self.itemset_mask(itemset).bit_count()
 
     def item_supports(self) -> dict[int, int]:
         """Return absolute support of every item that occurs at least once."""
-        return {item: len(tids) for item, tids in self._tidsets.items()}
+        return dict(self._counts)
 
     def items_present(self) -> frozenset[int]:
         """Ids of items that occur in at least one transaction."""
-        return frozenset(self._tidsets)
+        return frozenset(self._counts)
 
     def transactions_with(self, itemset: Iterable[int]) -> list[Itemset]:
         """Return the transactions that contain every item of ``itemset``."""
-        return [self._transactions[tid] for tid in sorted(self.tidset_of(itemset))]
+        mask = self.itemset_mask(itemset)
+        return [
+            self._transactions[tid]
+            for tid in mask_tids(mask, len(self._transactions))
+        ]
 
     def restrict_to_items(self, keep: Collection[int]) -> "TransactionDatabase":
         """Project the database onto ``keep``, dropping emptied transactions.
@@ -397,7 +405,7 @@ class TransactionDatabase:
         lengths = [len(t) for t in self._transactions]
         return DatabaseStats(
             n_transactions=len(self._transactions),
-            n_distinct_items=len(self._tidsets),
+            n_distinct_items=len(self._counts),
             total_item_occurrences=sum(lengths),
             max_transaction_length=max(lengths, default=0),
             mean_transaction_length=(
@@ -413,27 +421,15 @@ class GrowableTransactionDatabase(TransactionDatabase):
     one of these alive across batches: new reports append rows (new bits
     at the top of every touched item mask), and a follow-up case version
     rewrites exactly one row — clearing the removed items' bits and
-    setting the added items' bits in place. The vertical tidsets and the
-    bitmask table are maintained eagerly so :meth:`item_masks` stays the
-    single shared table that :class:`~repro.mining.bitsets.BitsetIndex`
-    wraps; a fresh index over this database after a mutation sees the
-    updated masks with no rebuild.
+    setting the added items' bits in place. The masks and the support
+    counts are maintained eagerly (one count step per changed item), so
+    a :class:`~repro.mining.bitsets.SupportOracle` built after a
+    mutation answers from the updated masks with no rebuild.
 
-    The mutating methods return enough information (the row's bit, the
+    The mutating methods return enough information (the row's tid, the
     added/removed item ids) for the caller to accumulate a touched-rows
     mask and a delta item universe for delta-aware re-mining.
     """
-
-    def __init__(
-        self,
-        transactions: Iterable[Collection[int]],
-        catalog: ItemCatalog,
-    ) -> None:
-        super().__init__(transactions, catalog)
-        # The parent's vertical view is frozen; swap in mutable sets so
-        # row edits are O(row length), not O(database).
-        self._tidsets = {item: set(tids) for item, tids in self._tidsets.items()}
-        self.item_masks()  # force the mask table into existence
 
     def append_row(self, items: Collection[int]) -> int:
         """Append a transaction and return its tid (bit position)."""
@@ -448,20 +444,20 @@ class GrowableTransactionDatabase(TransactionDatabase):
         tid = len(self._transactions)
         bit = 1 << tid
         self._transactions.append(row)
-        masks = self._bitmasks
-        assert masks is not None  # built eagerly in __init__
+        masks = self._masks
+        counts = self._counts
         for item in row:
             masks[item] = masks.get(item, 0) | bit
-            self._tidsets.setdefault(item, set()).add(tid)
+            counts[item] = counts.get(item, 0) + 1
         return tid
 
     def update_row(self, tid: int, items: Collection[int]) -> tuple[Itemset, Itemset]:
         """Rewrite row ``tid`` in place; return ``(added, removed)`` item ids.
 
         Removed items have their bit cleared from the mask table (the
-        bit-invalidation path a follow-up case version exercises); items
-        whose tidset empties are dropped from the vertical view so
-        :meth:`item_supports` never reports support 0.
+        bit-invalidation path a follow-up case version exercises); an
+        item whose last occurrence goes is dropped from the masks and
+        the counts, so :meth:`item_supports` never reports support 0.
         """
         if not 0 <= tid < len(self._transactions):
             raise MiningError(f"update_row: tid {tid} out of range")
@@ -478,21 +474,19 @@ class GrowableTransactionDatabase(TransactionDatabase):
         removed = old_row - new_row
         self._transactions[tid] = new_row
         bit = 1 << tid
-        masks = self._bitmasks
-        assert masks is not None
+        masks = self._masks
+        counts = self._counts
         for item in added:
             masks[item] = masks.get(item, 0) | bit
-            self._tidsets.setdefault(item, set()).add(tid)
+            counts[item] = counts.get(item, 0) + 1
         for item in removed:
-            remaining = masks[item] & ~bit
+            remaining = counts[item] - 1
             if remaining:
-                masks[item] = remaining
+                masks[item] &= ~bit
+                counts[item] = remaining
             else:
                 del masks[item]
-            tids = self._tidsets[item]
-            tids.discard(tid)
-            if not tids:
-                del self._tidsets[item]
+                del counts[item]
         return added, removed
 
 

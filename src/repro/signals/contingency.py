@@ -84,10 +84,10 @@ def contingency_for(
         raise ConfigError(
             f"exposure and outcome overlap: {sorted(exposure & outcome)}"
         )
-    exposed = database.tidset_of(exposure)
-    with_outcome = database.tidset_of(outcome)
-    a = len(exposed & with_outcome)
-    b = len(exposed) - a
-    c = len(with_outcome) - a
+    exposed = database.itemset_mask(exposure)
+    with_outcome = database.itemset_mask(outcome)
+    a = (exposed & with_outcome).bit_count()
+    b = exposed.bit_count() - a
+    c = with_outcome.bit_count() - a
     d = len(database) - a - b - c
     return ContingencyTable(a, b, c, d)

@@ -58,8 +58,8 @@ CHECKPOINT_VERSION = 2
 # MarasConfig fields that change the exported bytes. Excluded on
 # purpose: n_workers / shard_strategy (byte-identical across values),
 # incremental / incremental_rebuild_fraction (select *how* the result
-# is computed, not what it is), use_bitsets / count_rule_space (the
-# engine already pins them).
+# is computed, not what it is), count_rule_space (the engine rejects
+# it).
 _FINGERPRINT_FIELDS = (
     "min_support",
     "max_itemset_len",

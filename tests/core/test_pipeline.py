@@ -139,44 +139,7 @@ class TestPipelineRun:
 
 
 class TestBitsetPath:
-    """The bitset-native path must be a pure speedup: same clusters, same
-    metrics, same support classifications as the set-based reference."""
-
-    @staticmethod
-    def _signature(result):
-        return {
-            (c.target.antecedent, c.target.consequent): (
-                c.target.metrics,
-                {
-                    level: tuple(
-                        sorted(
-                            (r.antecedent, r.consequent, r.metrics)
-                            for r in rules
-                        )
-                    )
-                    for level, rules in c.levels.items()
-                },
-            )
-            for c in result.clusters
-        }
-
-    def test_bitset_and_reference_paths_agree(self, small_quarter_reports):
-        reports = small_quarter_reports[:900]
-        bitset = Maras(
-            MarasConfig(min_support=4, clean=False, use_bitsets=True)
-        ).run(reports)
-        reference = Maras(
-            MarasConfig(min_support=4, clean=False, use_bitsets=False)
-        ).run(reports)
-        assert bitset.clusters
-        assert self._signature(bitset) == self._signature(reference)
-        assert {
-            (a.rule.antecedent, a.rule.consequent): a.support_type
-            for a in bitset.associations
-        } == {
-            (a.rule.antecedent, a.rule.consequent): a.support_type
-            for a in reference.associations
-        }
+    """The run's memoized support oracle reports its cache use."""
 
     def test_oracle_cache_counters_recorded(self, small_quarter_reports):
         registry = MetricsRegistry()

@@ -27,7 +27,7 @@ from repro.incremental import (
     IncrementalEngine,
     carry_closed_itemsets,
 )
-from repro.mining.bitsets import BitsetIndex, SupportOracle
+from repro.mining.bitsets import SupportOracle
 from repro.mining.fpclose import fpclose
 from repro.mining.transactions import (
     GrowableTransactionDatabase,
@@ -308,12 +308,12 @@ class TestSupportOracleWarmStart:
         database = GrowableTransactionDatabase(
             [{0, 1}, {0, 1, 2}, {2, 3}], catalog
         )
-        previous = SupportOracle.for_database(database)
+        previous = SupportOracle(database)
         for items in ({0}, {0, 1}, {2}, {2, 3}, {3}):
             previous.support(frozenset(items))
 
         database.append_row({2, 4})
-        fresh = SupportOracle(BitsetIndex(database))
+        fresh = SupportOracle(database)
         carried = fresh.warm_from(previous, invalidated=frozenset({2, 4}))
         assert carried == 3  # {0}, {0,1}, {3}; the {2}-touching keys stay cold
         # Every answer — carried or recomputed — matches ground truth.
@@ -325,19 +325,15 @@ class TestSupportOracleWarmStart:
     def test_warm_from_never_carries_the_empty_itemset(self):
         catalog = catalog_of(2)
         database = GrowableTransactionDatabase([{0}], catalog)
-        previous = SupportOracle.for_database(database)
+        previous = SupportOracle(database)
         previous.support(frozenset())  # caches support(∅) == 1
         database.append_row({1})
-        fresh = SupportOracle(BitsetIndex(database))
+        fresh = SupportOracle(database)
         fresh.warm_from(previous, invalidated=frozenset({1}))
         assert fresh.support(frozenset()) == 2
 
 
 class TestConfigValidation:
-    def test_incremental_requires_bitsets(self):
-        with pytest.raises(ConfigError, match="use_bitsets"):
-            MarasConfig(incremental=True, use_bitsets=False)
-
     def test_incremental_rejects_rule_space_census(self):
         with pytest.raises(ConfigError, match="count_rule_space"):
             MarasConfig(incremental=True, count_rule_space=True)

@@ -7,8 +7,8 @@ implementations bit for bit. These tests enforce that on two fronts:
 
 - a seed grid of synthetic FAERS quarters (realistic density, planted
   interactions, verbatim tails) where ``fpclose`` must reproduce
-  ``fpclose_reference`` exactly and the oracle must agree with
-  ``TransactionDatabase.support`` on every mined itemset and subset;
+  ``fpclose_reference`` exactly and the oracle must agree with a row
+  scan of the database on every mined itemset and subset;
 - hypothesis-generated adversarial databases, where shapes no fixture
   would produce (duplicate transactions, universal items, singleton
   databases) get thrown at both miners and the oracle.
@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.faers import ReportDataset, SyntheticConfig, SyntheticFAERSGenerator
-from repro.mining.bitsets import BitsetIndex, SupportOracle
+from repro.mining.bitsets import SupportOracle
 from repro.mining.fpclose import fpclose, fpclose_reference
 from repro.mining.transactions import TransactionDatabase
 
@@ -29,6 +29,12 @@ SEED_GRID = (11, 23, 47, 2014)
 
 def as_pairs(itemsets):
     return {(fi.items, fi.support) for fi in itemsets}
+
+
+def scan_tids(database, items):
+    """Tids of the rows holding every item, by scanning the rows."""
+    items = frozenset(items)
+    return frozenset(tid for tid, row in enumerate(database) if items <= row)
 
 
 @pytest.fixture(scope="module", params=SEED_GRID)
@@ -62,38 +68,37 @@ class TestMinerEquivalenceOnSyntheticQuarters:
 
 class TestOracleEquivalenceOnSyntheticQuarters:
     def test_oracle_matches_database_on_mined_itemsets(self, synthetic_database):
-        oracle = SupportOracle.for_database(synthetic_database)
+        oracle = SupportOracle(synthetic_database)
         for fi in fpclose(synthetic_database, 4, max_len=5):
-            assert oracle.support(fi.items) == synthetic_database.support(
-                fi.items
+            assert oracle.support(fi.items) == len(
+                scan_tids(synthetic_database, fi.items)
             )
             # MCAC construction queries every proper subset; spot-check
             # the one-item-removed layer the cache serves most often.
             for item in fi.items:
                 subset = fi.items - {item}
                 if subset:
-                    assert oracle.support(subset) == synthetic_database.support(
-                        subset
+                    assert oracle.support(subset) == len(
+                        scan_tids(synthetic_database, subset)
                     )
 
     def test_oracle_memoization_is_invisible(self, synthetic_database):
-        oracle = SupportOracle.for_database(synthetic_database)
+        oracle = SupportOracle(synthetic_database)
         items = sorted(synthetic_database.items_present())[:12]
         queries = [frozenset({a, b}) for a in items for b in items if a != b]
         first = [oracle.support(q) for q in queries]
         second = [oracle.support(q) for q in queries]
         assert first == second
-        assert second == [synthetic_database.support(q) for q in queries]
+        assert second == [len(scan_tids(synthetic_database, q)) for q in queries]
         assert oracle.hits >= len(queries)
 
     def test_oracle_tidsets_match_database(self, synthetic_database):
-        oracle = SupportOracle.for_database(synthetic_database)
         items = sorted(synthetic_database.items_present())[:10]
         for a in items:
             for b in items:
                 query = frozenset({a, b})
-                assert oracle.tidset(query) == synthetic_database.tidset_of(
-                    query
+                assert synthetic_database.tidset_of(query) == scan_tids(
+                    synthetic_database, query
                 )
 
 
@@ -128,11 +133,12 @@ def test_bitset_miner_matches_reference_property(
 )
 def test_oracle_matches_database_property(transactions, query):
     db = TransactionDatabase.from_labelled(transactions)
-    oracle = SupportOracle(BitsetIndex(db))
+    oracle = SupportOracle(db)
     items = frozenset(
         db.catalog.id(label) for label in query if label in db.catalog
     )
     if not items:
         return
-    assert oracle.support(items) == db.support(items)
-    assert oracle.tidset(items) == db.tidset_of(items)
+    expected = scan_tids(db, items)
+    assert oracle.support(items) == len(expected)
+    assert db.tidset_of(items) == expected

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigError, MiningError, UnknownItemError
 from repro.mining.transactions import (
     FrequentItemset,
+    GrowableTransactionDatabase,
     ItemCatalog,
     TransactionDatabase,
+    mask_tids,
     resolve_min_support,
     sort_itemset_labels,
 )
@@ -169,6 +172,112 @@ class TestTransactionDatabase:
     def test_duplicate_items_in_transaction_collapse(self):
         db = TransactionDatabase.from_labelled([["a", "a", "b"]])
         assert len(db[0]) == 2
+
+
+class TestMaskTids:
+    def test_empty_mask(self):
+        assert mask_tids(0, 10) == []
+
+    def test_sparse_bits_ascending(self):
+        assert mask_tids(0b1000100101, 10) == [0, 2, 5, 9]
+
+    def test_bits_at_or_above_the_bound_are_clipped(self):
+        assert mask_tids(0b1111, 2) == [0, 1]
+        assert mask_tids(1 << 7, 7) == []
+
+    def test_contiguous_block_at_the_top(self):
+        # The shape of a stream batch's touched rows: appended tids are
+        # contiguous at the top of the database, plus a few follow-ups.
+        mask = (((1 << 28) - 1) << 6092) | (1 << 17) | (1 << 4000)
+        assert mask_tids(mask, 6120) == [17, 4000, *range(6092, 6120)]
+
+    def test_dense_mask_with_gaps(self):
+        # The shape of fpclose's reached rows: most of a long history.
+        gaps = {0, 1, 500, 777, 9998}
+        mask = ((1 << 10_000) - 1) ^ sum(1 << tid for tid in gaps)
+        expected = [tid for tid in range(10_000) if tid not in gaps]
+        assert mask_tids(mask, 10_000) == expected
+        assert mask_tids(mask, 778) == expected[:774]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        tids=st.frozensets(st.integers(0, 300), max_size=40),
+        n_transactions=st.integers(0, 320),
+    )
+    def test_matches_bit_probe(self, tids, n_transactions):
+        mask = sum(1 << tid for tid in tids)
+        expected = [t for t in range(n_transactions) if mask >> t & 1]
+        assert mask_tids(mask, n_transactions) == expected
+
+
+N_ITEMS = 6
+ROW = st.frozensets(st.integers(0, N_ITEMS - 1), max_size=4)
+MUTATIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("append"), st.just(0), ROW),
+        # Updates pick a row by index modulo the row count; small rows
+        # make removing an item's last occurrence common.
+        st.tuples(st.just("update"), st.integers(0, 1_000), ROW),
+    ),
+    max_size=30,
+)
+
+
+def _catalog(n_items=N_ITEMS):
+    catalog = ItemCatalog()
+    for k in range(n_items):
+        catalog.add(f"i{k}")
+    return catalog
+
+
+def assert_same_database(growable, fresh, queries):
+    assert list(growable) == list(fresh)
+    assert growable.item_masks() == fresh.item_masks()
+    assert growable.item_supports() == fresh.item_supports()
+    assert growable.items_present() == fresh.items_present()
+    assert growable.describe() == fresh.describe()
+    for items in queries:
+        assert growable.support(items) == fresh.support(items)
+        assert growable.tidset_of(items) == fresh.tidset_of(items)
+
+
+class TestGrowableTransactionDatabase:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        initial=st.lists(ROW, max_size=6),
+        mutations=MUTATIONS,
+        query=st.frozensets(st.integers(0, N_ITEMS - 1), min_size=2, max_size=3),
+    )
+    def test_mutations_equal_fresh_database(self, initial, mutations, query):
+        catalog = _catalog()
+        growable = GrowableTransactionDatabase(initial, catalog)
+        rows = list(initial)
+        for kind, index, row in mutations:
+            if kind == "append":
+                assert growable.append_row(row) == len(rows)
+                rows.append(row)
+            elif rows:
+                tid = index % len(rows)
+                added, removed = growable.update_row(tid, row)
+                assert (added, removed) == (row - rows[tid], rows[tid] - row)
+                rows[tid] = row
+        fresh = TransactionDatabase(rows, catalog)
+        singles = [frozenset({item}) for item in range(N_ITEMS)]
+        assert_same_database(growable, fresh, [frozenset(), query, *singles])
+
+    def test_removing_last_occurrence_drops_the_item(self):
+        catalog = _catalog()
+        growable = GrowableTransactionDatabase([{0, 1}, {1, 2}], catalog)
+        growable.update_row(0, {1})
+        assert 0 not in growable.item_masks()
+        assert 0 not in growable.item_supports()
+        assert 0 not in growable.items_present()
+        assert growable.support({0}) == 0
+        assert growable.tidset_of({0}) == frozenset()
+        assert growable.describe().n_distinct_items == 2
+        growable.append_row({0})
+        assert growable.item_supports()[0] == 1
+        assert growable.tidset_of({0}) == frozenset({2})
 
 
 class TestResolveMinSupport:
